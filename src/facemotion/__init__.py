@@ -25,6 +25,7 @@ from .motion_core import (
     FlameFrame,
     MotionSequence,
     VertexFrame,
+    forward_batch,
     forward_vertices,
     mouth_opening,
     mouth_width,

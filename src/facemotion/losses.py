@@ -9,7 +9,9 @@ vertex sequence:
 Every component is reduced as the mean over all contributing elements
 (frames, vertices/channels, coordinates), so values are comparable across
 sequence lengths and mesh sizes. The quantizer diagnostic adds the codebook
-and commitment terms on top of l_rec.
+and commitment terms, each scaled by lambda_vq, on top of l_rec:
+
+    l_vqvae = l_rec + lambda_vq * codebook_term + lambda_vq * commit_term
 """
 
 from __future__ import annotations
@@ -98,18 +100,37 @@ def param_loss(m: MotionSequence, m_hat: MotionSequence) -> float:
     return float(np.mean((m.params - m_hat.params) ** 2))
 
 
-def geo_loss(
+def _zero_posed_pair(
     model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
-) -> Tuple[float, float]:
-    """(l_lips, l_face): mean squared vertex error per region, zero-pose space."""
-    _check_pair(m, m_hat)
-    v = sequence_vertex_array(model, m, zero_posed=True)
-    v_hat = sequence_vertex_array(model, m_hat, zero_posed=True)
+) -> Tuple[np.ndarray, np.ndarray]:
+    return (
+        sequence_vertex_array(model, m, zero_posed=True),
+        sequence_vertex_array(model, m_hat, zero_posed=True),
+    )
+
+
+def _geo_terms(model: BlendshapeModel, v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
     out = []
     for name in ("lips", "face"):
         idx = model.region(name)
         out.append(float(np.mean((v[:, idx] - v_hat[:, idx]) ** 2)))
     return out[0], out[1]
+
+
+def _dyn_terms(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
+    vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
+    acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
+    l_vel = float(np.mean((vel - vel_hat) ** 2))
+    l_acc = float(np.mean((acc - acc_hat) ** 2))
+    return l_vel, l_acc
+
+
+def geo_loss(
+    model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
+) -> Tuple[float, float]:
+    """(l_lips, l_face): mean squared vertex error per region, zero-pose space."""
+    _check_pair(m, m_hat)
+    return _geo_terms(model, *_zero_posed_pair(model, m, m_hat))
 
 
 def dyn_loss(
@@ -121,13 +142,7 @@ def dyn_loss(
     sequence (lengths T-1 and T-2), no padding.
     """
     _check_pair(m, m_hat, min_len=3)
-    v = sequence_vertex_array(model, m, zero_posed=True)
-    v_hat = sequence_vertex_array(model, m_hat, zero_posed=True)
-    vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
-    acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
-    l_vel = float(np.mean((vel - vel_hat) ** 2))
-    l_acc = float(np.mean((acc - acc_hat) ** 2))
-    return l_vel, l_acc
+    return _dyn_terms(*_zero_posed_pair(model, m, m_hat))
 
 
 def total_losses(
@@ -138,11 +153,17 @@ def total_losses(
     q: Optional[LatentSequence] = None,
     weights: Optional[LossWeights] = None,
 ) -> LossReport:
-    """Itemized loss report; z/q omitted means the quantizer terms are zero."""
+    """Itemized loss report; z/q omitted means the quantizer terms are zero.
+
+    Each sequence is rendered once; the geo and dyn terms share the arrays.
+    The quantizer terms enter l_vqvae scaled by ``lambda_vq``.
+    """
     w = weights or LossWeights()
     l_param = param_loss(m, m_hat)
-    l_lips, l_face = geo_loss(model, m, m_hat)
-    l_vel, l_acc = dyn_loss(model, m, m_hat)
+    v, v_hat = _zero_posed_pair(model, m, m_hat)
+    l_lips, l_face = _geo_terms(model, v, v_hat)
+    _check_pair(m, m_hat, min_len=3)
+    l_vel, l_acc = _dyn_terms(v, v_hat)
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:
         codebook_term, commit_term = 0.0, 0.0
@@ -157,7 +178,7 @@ def total_losses(
         l_rec=l_rec,
         codebook_term=codebook_term,
         commit_term=commit_term,
-        l_vqvae=l_rec + codebook_term + commit_term,
+        l_vqvae=l_rec + w.lambda_vq * codebook_term + w.lambda_vq * commit_term,
         weights=w,
     )
 

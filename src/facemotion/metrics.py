@@ -10,19 +10,18 @@ NaN or fake zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import IncompatibleShapeError, ModelConfigError
 from .motion_core import (
+    FRAME_DIM,
+    LANDMARK_NAMES,
     BlendshapeModel,
-    FlameFrame,
     MotionSequence,
-    forward_vertices,
-    mouth_opening,
-    mouth_width,
-    sequence_vertices,
+    forward_batch,
+    landmark_distance,
 )
 
 
@@ -81,14 +80,19 @@ class MetricsReport:
         }
 
 
+def _landmark_series(model: BlendshapeModel, m: MotionSequence, a: str, b: str) -> np.ndarray:
+    v = forward_batch(model, m.params, zero_posed=True, vertices=[model.landmark(a), model.landmark(b)])
+    return landmark_distance(v, 0, 1)
+
+
 def opening_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
     """Mouth-opening distance per frame, zero-pose space."""
-    return np.array([mouth_opening(model, v) for v in sequence_vertices(model, m, zero_posed=True)])
+    return _landmark_series(model, m, "upper_lip", "lower_lip")
 
 
 def width_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
     """Mouth-width distance per frame, zero-pose space."""
-    return np.array([mouth_width(model, v) for v in sequence_vertices(model, m, zero_posed=True)])
+    return _landmark_series(model, m, "left_corner", "right_corner")
 
 
 def mod_metric(model: BlendshapeModel, pred: MotionSequence, gt: MotionSequence) -> float:
@@ -102,18 +106,29 @@ def mod_metric(model: BlendshapeModel, pred: MotionSequence, gt: MotionSequence)
     return float(np.mean(np.abs(o_pred - o_gt)) * 1000.0)
 
 
+def _upper_face(model: BlendshapeModel) -> np.ndarray:
+    idx = model.region("upper_face")
+    if idx.size == 0:
+        raise ModelConfigError("upper_face region is empty")
+    return idx
+
+
+def _ufd(model: BlendshapeModel, upper: np.ndarray, idx: np.ndarray) -> float:
+    """UFD from zero-posed (T, len(idx), 3) vertices of the upper_face region."""
+    neutral = forward_batch(model, np.zeros((1, FRAME_DIM)), vertices=idx)[0]
+    # the difference is a fresh C-contiguous array, so the reductions below
+    # run in the same order whether or not ``upper`` is a view
+    disp = np.linalg.norm(upper - neutral, axis=-1)
+    return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
+
+
 def ufd(model: BlendshapeModel, m: MotionSequence) -> float:
     """Upper-face dynamics: mean frame-to-frame change of the per-vertex
     displacement norm relative to the neutral face, scaled by 1e5."""
     if len(m) < 2:
         raise ValueError("ufd needs at least 2 frames")
-    idx = model.region("upper_face")
-    if idx.size == 0:
-        raise ModelConfigError("upper_face region is empty")
-    neutral = forward_vertices(model, FlameFrame.zero()).vertices[idx]
-    verts = sequence_vertices(model, m, zero_posed=True)
-    disp = np.stack([np.linalg.norm(v.vertices[idx] - neutral, axis=1) for v in verts])
-    return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
+    idx = _upper_face(model)
+    return _ufd(model, forward_batch(model, m.params, zero_posed=True, vertices=idx), idx)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -174,6 +189,21 @@ def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = 1e-8) -> f
     return s_pred / (s_gt + epsilon)
 
 
+def _prominence_floor(x: np.ndarray) -> np.ndarray:
+    """For each sample, the minimum of x from just after the nearest strictly
+    higher sample to its left (or the signal start) up to and including
+    itself. One pass with a stack of (index, minimum of the span it covers)."""
+    floor = np.empty(x.size)
+    stack: List[Tuple[float, float]] = []
+    for i, xi in enumerate(x.tolist()):
+        low = xi
+        while stack and stack[-1][0] <= xi:
+            low = min(low, stack.pop()[1])
+        floor[i] = low
+        stack.append((xi, low))
+    return floor
+
+
 def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -> np.ndarray:
     """Indices of local maxima filtered by prominence and spacing.
 
@@ -182,7 +212,7 @@ def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -
     higher sample (or the signal edge); peaks below min_prominence_frac of
     the signal range are dropped. Remaining peaks are kept tallest-first
     (ties to the lower index), discarding any within min_distance frames of
-    an already kept peak.
+    an already kept peak. Runs in time linear in the signal length.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -193,32 +223,16 @@ def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -
         return np.empty(0, dtype=np.int64)
     cand = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
     threshold = min_prominence_frac * rng_span
+    floor = np.maximum(_prominence_floor(x), _prominence_floor(x[::-1])[::-1])
+    kept = cand[x[cand] - floor[cand] >= threshold]
 
-    kept: List[int] = []
-    heights: List[float] = []
-    for i in cand:
-        left_min = x[i]
-        j = i - 1
-        while j >= 0 and x[j] <= x[i]:
-            left_min = min(left_min, x[j])
-            j -= 1
-        right_min = x[i]
-        j = i + 1
-        while j < n and x[j] <= x[i]:
-            right_min = min(right_min, x[j])
-            j += 1
-        prominence = x[i] - max(left_min, right_min)
-        if prominence >= threshold:
-            kept.append(int(i))
-            heights.append(float(x[i]))
-
-    order = sorted(range(len(kept)), key=lambda k: (-heights[k], kept[k]))
-    accepted: List[int] = []
-    for k in order:
-        i = kept[k]
-        if all(abs(i - a) >= min_distance for a in accepted):
-            accepted.append(i)
-    return np.array(sorted(accepted), dtype=np.int64)
+    blocked = np.zeros(n, dtype=bool)
+    accepted = np.zeros(n, dtype=bool)
+    for i in kept[np.argsort(-x[kept], kind="stable")].tolist():
+        if not blocked[i]:
+            accepted[i] = True
+            blocked[max(0, i - min_distance + 1) : i + min_distance] = True
+    return np.flatnonzero(accepted).astype(np.int64)
 
 
 def peak_align(o_pred: np.ndarray, o_gt: np.ndarray, cfg: MetricsConfig) -> Optional[float]:
@@ -244,10 +258,14 @@ def full_report(
         raise IncompatibleShapeError(f"sequence lengths differ: {len(pred)} vs {len(gt)}")
     if len(pred) < 3:
         raise ValueError("full report needs at least 3 frames")
-    o_pred = opening_series(model, pred)
-    o_gt = opening_series(model, gt)
-    w_pred = width_series(model, pred)
-    w_gt = width_series(model, gt)
+    # one zero-posed render per sequence: the mouth landmarks, plus the
+    # upper_face region for pred
+    landmarks = [model.landmark(name) for name in LANDMARK_NAMES]
+    upper = _upper_face(model)
+    v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=np.concatenate([landmarks, upper]))
+    v_gt = forward_batch(model, gt.params, zero_posed=True, vertices=landmarks)
+    o_pred, w_pred = landmark_distance(v_pred, 0, 1), landmark_distance(v_pred, 2, 3)
+    o_gt, w_gt = landmark_distance(v_gt, 0, 1), landmark_distance(v_gt, 2, 3)
 
     undefined: Dict[str, str] = {}
     t_corr = temporal_corr(o_pred, o_gt)
@@ -265,7 +283,7 @@ def full_report(
 
     return MetricsReport(
         mod_mm=float(np.mean(np.abs(o_pred - o_gt)) * 1000.0),
-        ufd=ufd(model, pred),
+        ufd=_ufd(model, v_pred[:, len(landmarks):], upper),
         temporal_corr=t_corr,
         velocity_corr=v_corr,
         lip_width_corr=w_corr,

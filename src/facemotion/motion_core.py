@@ -11,6 +11,21 @@ The forward model adds linear expression and eyelid blendshapes to a fixed
 template mesh, rigidly rotates a designated jaw region about the jaw hinge,
 and finally rotates the whole mesh by the global pose. All rotations use the
 exact exponential map (Rodrigues formula). Coordinates are meters.
+
+There is one implementation of it, batched over frames:
+
+    forward_batch(model, params, zero_posed=False, vertices=None)
+        params (T, 58) -> C-contiguous vertices (T, N', 3)
+
+``zero_posed=True`` skips the global rotation (zero-pose space, where losses
+and metrics are computed). ``vertices`` is an optional 1-D index array
+selecting N' output vertices in the given order; only those rows (plus the
+jaw region, and the whole mesh when a global rotation applies) are carried
+through the model. The result is batch-invariant and subset-invariant bit
+for bit: row i equals a 1-frame call on ``params[i]``, and a subset call
+equals the same columns of the full call. ``forward_vertices`` (one frame),
+``sequence_vertices`` (a list of frames) and ``sequence_vertex_array`` (a
+stacked array) are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -54,18 +69,27 @@ def _as_float_array(x, shape, name: str) -> np.ndarray:
 
 
 def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
-    """Rotation matrix for an axis-angle vector via the Rodrigues formula.
+    """Rotation matrices for axis-angle vectors of shape (..., 3) via the
+    Rodrigues formula; the result has shape (..., 3, 3).
 
     The rotation angle is the vector norm; a zero vector maps to the identity.
     """
     rvec = np.asarray(rvec, dtype=np.float64)
-    theta = float(np.linalg.norm(rvec))
-    if theta == 0.0:
-        return np.eye(3)
-    axis = rvec / theta
-    kx, ky, kz = axis
-    k_cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(theta) * k_cross + (1.0 - np.cos(theta)) * (k_cross @ k_cross)
+    r = np.ascontiguousarray(rvec.reshape(-1, 3))
+    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    zero = theta == 0.0
+    axis = r / np.where(zero, 1.0, theta)[:, None]
+    k_cross = np.zeros((r.shape[0], 3, 3))
+    k_cross[:, 0, 1], k_cross[:, 0, 2] = -axis[:, 2], axis[:, 1]
+    k_cross[:, 1, 0], k_cross[:, 1, 2] = axis[:, 2], -axis[:, 0]
+    k_cross[:, 2, 0], k_cross[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    rot = (
+        np.eye(3)
+        + np.sin(theta)[:, None, None] * k_cross
+        + (1.0 - np.cos(theta))[:, None, None] * np.matmul(k_cross, k_cross)
+    )
+    rot[zero] = np.eye(3)
+    return rot.reshape(rvec.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -224,25 +248,69 @@ class BlendshapeModel:
         return self.landmarks[name]
 
 
-def forward_vertices(model: BlendshapeModel, frame: FlameFrame) -> VertexFrame:
-    """Map one frame to mesh vertices.
+def forward_batch(
+    model: BlendshapeModel, params, zero_posed: bool = False, vertices=None
+) -> np.ndarray:
+    """Map (T, 58) frame parameters to a C-contiguous (T, N', 3) vertex array.
 
-    Expression and eyelid blendshapes are added to the template, the jaw
-    region is rotated rigidly about the jaw hinge, then the global pose
-    rotates the whole mesh about the origin.
+    This is the package's only forward model; the per-frame and per-sequence
+    helpers below wrap it. Expression and eyelid blendshapes are added to the
+    template, the jaw region is rotated rigidly about the jaw hinge, then the
+    global pose rotates the whole mesh about the origin. ``zero_posed`` skips
+    the global rotation. ``vertices`` (1-D indices, any order, repeats
+    allowed) selects the N' returned vertices; by default all N are returned.
+
+    Row i of the result is bit-identical to a 1-frame call on ``params[i]``,
+    and a subset call is bit-identical to the same columns of the full call.
+    Every matrix product is therefore evaluated with the shape a single frame
+    gives it: one blendshape product per frame over the whole basis, one
+    jaw product per frame over the whole jaw region, one global product per
+    frame over the whole mesh. A rotation is applied only to frames whose
+    pose is non-zero, since rotating by the identity is not exact.
     """
-    v = (
-        model.template
-        + np.tensordot(model.expr_basis, frame.expression, axes=([2], [0]))
-        + np.tensordot(model.eyelid_basis, frame.eyelid, axes=([2], [0]))
-    )
-    if np.any(frame.jaw_pose):
-        rot = axis_angle_matrix(frame.jaw_pose)
-        idx = model.jaw_region
-        v[idx] = (v[idx] - model.jaw_joint) @ rot.T + model.jaw_joint
-    if np.any(frame.global_pose):
-        v = v @ axis_angle_matrix(frame.global_pose).T
-    return VertexFrame(v)
+    p = np.asarray(params, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != FRAME_DIM:
+        raise IncompatibleShapeError(f"params must have shape (T, {FRAME_DIM}), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("motion params contain non-finite values")
+    t, n = p.shape[0], model.num_vertices
+    jaw_on = np.flatnonzero(np.any(p[:, JAW_SLICE], axis=1))
+    glob_on = np.flatnonzero(np.any(p[:, GLOBAL_SLICE], axis=1)) if not zero_posed else np.empty(0, np.intp)
+
+    v = np.matmul(model.expr_basis.reshape(3 * n, EXPRESSION_DIM), p[:, EXPRESSION_SLICE, None]).reshape(t, n, 3)
+    eyelid = np.matmul(model.eyelid_basis.reshape(3 * n, EYELID_DIM), p[:, EYELID_SLICE, None]).reshape(t, n, 3)
+    template, jaw_idx, out_idx = model.template, model.jaw_region, None
+    if vertices is not None:
+        out_idx = np.asarray(vertices, dtype=np.intp)
+        if out_idx.ndim != 1:
+            raise IncompatibleShapeError(f"vertices must be 1-D indices, got shape {out_idx.shape}")
+        if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n):
+            raise ModelConfigError(f"vertex indices out of range for {n} vertices")
+        if not glob_on.size:
+            # carry only the requested rows and the jaw region past the blendshapes
+            rows = np.union1d(out_idx, jaw_idx) if jaw_on.size else np.unique(out_idx)
+            jaw_idx, out_idx = np.searchsorted(rows, jaw_idx), np.searchsorted(rows, out_idx)
+            template, v, eyelid = template[rows], np.take(v, rows, axis=1), np.take(eyelid, rows, axis=1)
+    v += template
+    v += eyelid
+    del eyelid
+
+    if jaw_on.size:
+        sel = (jaw_on[:, None], jaw_idx)
+        rot_t = axis_angle_matrix(p[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
+        v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
+    if glob_on.size:
+        v[glob_on] = np.matmul(v[glob_on], axis_angle_matrix(p[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1))
+    if out_idx is not None:
+        v = np.take(v, out_idx, axis=1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vertices contain non-finite values")
+    return v
+
+
+def forward_vertices(model: BlendshapeModel, frame: FlameFrame) -> VertexFrame:
+    """Map one frame to mesh vertices (a 1-frame ``forward_batch``)."""
+    return VertexFrame(forward_batch(model, frame.to_vector()[None])[0])
 
 
 def zero_pose(frame: FlameFrame) -> FlameFrame:
@@ -254,33 +322,31 @@ def zero_pose(frame: FlameFrame) -> FlameFrame:
     return FlameFrame(frame.expression, frame.jaw_pose, np.zeros(GLOBAL_DIM), frame.eyelid)
 
 
+def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Euclidean distance between vertices i and j of a (..., N, 3) array.
+
+    Each distance is the square root of one 3-element dot product, the same
+    arithmetic as ``np.linalg.norm`` on a single 3-vector.
+    """
+    d = vertices[..., i, :] - vertices[..., j, :]
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+
+
 def mouth_opening(model: BlendshapeModel, v: VertexFrame) -> float:
     """Euclidean distance between the upper-lip and lower-lip landmarks."""
-    a = v.vertices[model.landmark("upper_lip")]
-    b = v.vertices[model.landmark("lower_lip")]
-    return float(np.linalg.norm(a - b))
+    return float(landmark_distance(v.vertices, model.landmark("upper_lip"), model.landmark("lower_lip")))
 
 
 def mouth_width(model: BlendshapeModel, v: VertexFrame) -> float:
     """Euclidean distance between the left and right lip-corner landmarks."""
-    a = v.vertices[model.landmark("left_corner")]
-    b = v.vertices[model.landmark("right_corner")]
-    return float(np.linalg.norm(a - b))
+    return float(landmark_distance(v.vertices, model.landmark("left_corner"), model.landmark("right_corner")))
 
 
 def sequence_vertices(model: BlendshapeModel, m: MotionSequence, zero_posed: bool = False) -> List[VertexFrame]:
     """Forward vertices for every frame, optionally in zero-pose space."""
-    out = []
-    for frame in m.iter_frames():
-        if zero_posed:
-            frame = zero_pose(frame)
-        out.append(forward_vertices(model, frame))
-    return out
+    return [VertexFrame(v) for v in forward_batch(model, m.params, zero_posed=zero_posed)]
 
 
 def sequence_vertex_array(model: BlendshapeModel, m: MotionSequence, zero_posed: bool = False) -> np.ndarray:
-    """Stacked (T, N, 3) vertex array; convenience over sequence_vertices."""
-    frames = sequence_vertices(model, m, zero_posed=zero_posed)
-    if not frames:
-        return np.zeros((0, model.num_vertices, 3))
-    return np.stack([vf.vertices for vf in frames])
+    """Stacked (T, N, 3) vertex array, optionally in zero-pose space."""
+    return forward_batch(model, m.params, zero_posed=zero_posed)

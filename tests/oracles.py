@@ -199,3 +199,50 @@ def nearest_key_scan(keys: Sequence[np.ndarray], query: np.ndarray) -> int:
         if d < best_d:
             best_i, best_d = i, d
     return best_i
+
+
+def forward_loop(template, expr_basis, eyelid_basis, jaw_joint, jaw_region, frame) -> np.ndarray:
+    """Blendshape forward model for one 58-dim frame with explicit loops over
+    vertices, coordinates and blendshapes, then vector-form rotations: the
+    jaw region about the hinge, then the whole mesh about the origin."""
+    frame = np.asarray(frame, dtype=np.float64)
+    n = template.shape[0]
+    v = np.array(template, dtype=np.float64)
+    for i in range(n):
+        for c in range(3):
+            acc = 0.0
+            for k in range(50):
+                acc += expr_basis[i, c, k] * frame[k]
+            for k in range(2):
+                acc += eyelid_basis[i, c, k] * frame[56 + k]
+            v[i, c] += acc
+    idx = np.asarray(jaw_region)
+    v[idx] = rotate_points(v[idx], frame[50:53], jaw_joint)
+    return rotate_points(v, frame[53:56], np.zeros(3))
+
+
+def peaks_outward_scan(x: Sequence[float], min_prominence_frac: float, min_distance: int) -> np.ndarray:
+    """Prominence- and spacing-filtered strict local maxima, found by scanning
+    outward from every candidate until a strictly higher sample, then
+    accepting tallest-first (lower index on ties) against every kept peak."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if n < 3 or x.max() == x.min():
+        return np.empty(0, dtype=np.int64)
+    threshold = min_prominence_frac * float(x.max() - x.min())
+    kept = []
+    for i in local_maxima(x):
+        floors = []
+        for step in (-1, 1):
+            low, j = x[i], i + step
+            while 0 <= j < n and x[j] <= x[i]:
+                low = min(low, x[j])
+                j += step
+            floors.append(low)
+        if x[i] - max(floors) >= threshold:
+            kept.append(i)
+    accepted: List[int] = []
+    for i in sorted(kept, key=lambda k: (-x[k], k)):
+        if all(abs(i - a) >= min_distance for a in accepted):
+            accepted.append(i)
+    return np.array(sorted(accepted), dtype=np.int64)

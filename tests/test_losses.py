@@ -195,6 +195,25 @@ def test_total_losses_report_consistency(seed0_model, rng):
         assert value >= 0.0
 
 
+def test_lambda_vq_scales_quantizer_terms(seed0_model, rng):
+    a, b = seeded_pair(rng, t=6)
+    z = rvq.LatentSequence(rng.standard_normal((4, 8)))
+    q = rvq.LatentSequence(z.vectors + rng.standard_normal((4, 8)) * 0.1)
+    codebook_term, commit_term, _ = rvq.commitment_loss(z, q, 0.25)
+    reports = {
+        lam: losses.total_losses(seed0_model, a, b, z=z, q=q, weights=losses.LossWeights(lambda_vq=lam))
+        for lam in (0.0, 1.0, 2.0)
+    }
+    for report in reports.values():
+        assert report.l_rec == reports[1.0].l_rec
+        assert (report.codebook_term, report.commit_term) == (codebook_term, commit_term)
+    assert reports[0.0].l_vqvae == reports[0.0].l_rec
+    assert reports[2.0].l_vqvae == reports[2.0].l_rec + 2.0 * codebook_term + 2.0 * commit_term
+    assert reports[2.0].l_vqvae - reports[2.0].l_rec == pytest.approx(
+        2.0 * (reports[1.0].l_vqvae - reports[1.0].l_rec), rel=1e-12
+    )
+
+
 def test_total_losses_end_to_end_oracle(seed0_model, rng):
     from facemotion.motion_core import sequence_vertex_array
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from facemotion import motion_core as mc
@@ -244,6 +246,66 @@ def test_sequence_vertices_matches_frame_by_frame_oracle(seed0_model, seed0_moti
     for i in range(10):
         expected = mc.forward_vertices(seed0_model, sub.frame(i))
         np.testing.assert_array_equal(got[i].vertices, expected.vertices)
+
+
+# ---------------------------------------------------------------------------
+# forward_batch
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.sampled_from([1, 2, 25, 300]),
+    seed=st.integers(0, 2**32 - 1),
+    p_jaw=st.sampled_from([0.0, 0.5, 1.0]),
+    p_global=st.sampled_from([0.0, 0.5, 1.0]),
+    zero_posed=st.booleans(),
+)
+def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_jaw, p_global, zero_posed):
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-0.3, 0.3, size=(t, 58))
+    params[rng.random(t) >= p_jaw, 50:53] = 0.0
+    params[rng.random(t) >= p_global, 53:56] = 0.0
+    full = mc.forward_batch(seed0_model, params, zero_posed=zero_posed)
+    assert full.shape == (t, seed0_model.num_vertices, 3)
+    assert full.flags.c_contiguous
+    for i in range(t):
+        one = mc.forward_batch(seed0_model, params[i : i + 1], zero_posed=zero_posed)
+        assert _bits(one[0]) == _bits(full[i])
+    subset = rng.choice(seed0_model.num_vertices, size=rng.integers(1, 12))
+    sub = mc.forward_batch(seed0_model, params, zero_posed=zero_posed, vertices=subset)
+    assert sub.flags.c_contiguous
+    assert _bits(sub) == _bits(full[:, subset])
+
+
+def test_forward_batch_matches_loop_oracle(seed0_model, rng):
+    params = rng.uniform(-0.3, 0.3, size=(6, 58))
+    params[1, 50:53] = 0.0
+    params[2, 53:56] = 0.0
+    params[3, 50:56] = 0.0
+    m = seed0_model
+    for zero_posed in (False, True):
+        got = mc.forward_batch(m, params, zero_posed=zero_posed)
+        for i, frame in enumerate(params):
+            if zero_posed:
+                frame = np.concatenate([frame[:53], np.zeros(3), frame[56:]])
+            expected = oracles.forward_loop(m.template, m.expr_basis, m.eyelid_basis, m.jaw_joint, m.jaw_region, frame)
+            np.testing.assert_allclose(got[i], expected, rtol=0, atol=1e-15)
+
+
+def test_forward_batch_input_validation(seed0_model):
+    assert mc.forward_batch(seed0_model, np.zeros((0, 58))).shape == (0, seed0_model.num_vertices, 3)
+    with pytest.raises(IncompatibleShapeError):
+        mc.forward_batch(seed0_model, np.zeros(58))
+    with pytest.raises(ValueError):
+        mc.forward_batch(seed0_model, np.full((2, 58), np.nan))
+    with pytest.raises(ModelConfigError):
+        mc.forward_batch(seed0_model, np.zeros((2, 58)), vertices=[seed0_model.num_vertices])
+    with pytest.raises(ModelConfigError):
+        mc.forward_batch(seed0_model, np.zeros((2, 58)), vertices=[-1])
 
 
 # ---------------------------------------------------------------------------
