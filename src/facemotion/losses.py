@@ -159,10 +159,10 @@ def total_losses(
     The quantizer terms enter l_vqvae scaled by ``lambda_vq``.
     """
     w = weights or LossWeights()
+    _check_pair(m, m_hat, min_len=3)
     l_param = param_loss(m, m_hat)
     v, v_hat = _zero_posed_pair(model, m, m_hat)
     l_lips, l_face = _geo_terms(model, v, v_hat)
-    _check_pair(m, m_hat, min_len=3)
     l_vel, l_acc = _dyn_terms(v, v_hat)
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:

@@ -19,11 +19,11 @@ There is one implementation of it, batched over frames:
 
 ``zero_posed=True`` skips the global rotation (zero-pose space, where losses
 and metrics are computed). ``vertices`` is an optional 1-D index array
-selecting N' output vertices in the given order; only those rows (plus the
-jaw region, and the whole mesh when a global rotation applies) are carried
-through the model. The result is batch-invariant and subset-invariant bit
-for bit: row i equals a 1-frame call on ``params[i]``, and a subset call
-equals the same columns of the full call. ``forward_vertices`` (one frame),
+selecting N' output vertices in the given order; the whole mesh is computed
+and the subset is gathered at the end, so callers keep only the rows they
+need. The result is batch-invariant and subset-invariant bit for bit: row i
+equals a 1-frame call on ``params[i]``, and a subset call equals the same
+columns of the full call. ``forward_vertices`` (one frame),
 ``sequence_vertices`` (a list of frames) and ``sequence_vertex_array`` (a
 stacked array) are thin wrappers over it.
 """
@@ -279,24 +279,19 @@ def forward_batch(
 
     v = np.matmul(model.expr_basis.reshape(3 * n, EXPRESSION_DIM), p[:, EXPRESSION_SLICE, None]).reshape(t, n, 3)
     eyelid = np.matmul(model.eyelid_basis.reshape(3 * n, EYELID_DIM), p[:, EYELID_SLICE, None]).reshape(t, n, 3)
-    template, jaw_idx, out_idx = model.template, model.jaw_region, None
+    out_idx = None
     if vertices is not None:
         out_idx = np.asarray(vertices, dtype=np.intp)
         if out_idx.ndim != 1:
             raise IncompatibleShapeError(f"vertices must be 1-D indices, got shape {out_idx.shape}")
         if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n):
             raise ModelConfigError(f"vertex indices out of range for {n} vertices")
-        if not glob_on.size:
-            # carry only the requested rows and the jaw region past the blendshapes
-            rows = np.union1d(out_idx, jaw_idx) if jaw_on.size else np.unique(out_idx)
-            jaw_idx, out_idx = np.searchsorted(rows, jaw_idx), np.searchsorted(rows, out_idx)
-            template, v, eyelid = template[rows], np.take(v, rows, axis=1), np.take(eyelid, rows, axis=1)
-    v += template
+    v += model.template
     v += eyelid
     del eyelid
 
     if jaw_on.size:
-        sel = (jaw_on[:, None], jaw_idx)
+        sel = (jaw_on[:, None], model.jaw_region)
         rot_t = axis_angle_matrix(p[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
         v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
     if glob_on.size:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import oracles
 from facemotion import metrics
@@ -273,25 +271,6 @@ def test_detect_peaks_distance_filtering():
     x[20] = 0.8
     peaks = metrics.detect_peaks(x, 0.05, 3)
     assert peaks.tolist() == [10, 20]
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    body=st.lists(st.integers(0, 3), max_size=30),
-    lead=st.integers(0, 4),
-    trail=st.integers(0, 4),
-    frac=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
-    min_distance=st.integers(1, 6),
-)
-@example(body=[0, 3, 1, 3, 0], lead=0, trail=0, frac=0.9, min_distance=1)
-def test_detect_peaks_matches_outward_scan_oracle(body, lead, trail, frac, min_distance):
-    # small integer alphabets give ties and interior plateaus; repeating the
-    # first and last samples adds plateaus at the edges
-    x = [body[0]] * lead + body + [body[-1]] * trail if body else []
-    got = metrics.detect_peaks(np.array(x, dtype=np.float64), frac, min_distance)
-    expected = oracles.peaks_outward_scan(x, frac, min_distance)
-    assert got.dtype == expected.dtype == np.int64
-    assert got.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from facemotion import motion_core as mc
@@ -250,35 +248,6 @@ def test_sequence_vertices_matches_frame_by_frame_oracle(seed0_model, seed0_moti
 
 # ---------------------------------------------------------------------------
 # forward_batch
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).tobytes()
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    t=st.sampled_from([1, 2, 25, 300]),
-    seed=st.integers(0, 2**32 - 1),
-    p_jaw=st.sampled_from([0.0, 0.5, 1.0]),
-    p_global=st.sampled_from([0.0, 0.5, 1.0]),
-    zero_posed=st.booleans(),
-)
-def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_jaw, p_global, zero_posed):
-    rng = np.random.default_rng(seed)
-    params = rng.uniform(-0.3, 0.3, size=(t, 58))
-    params[rng.random(t) >= p_jaw, 50:53] = 0.0
-    params[rng.random(t) >= p_global, 53:56] = 0.0
-    full = mc.forward_batch(seed0_model, params, zero_posed=zero_posed)
-    assert full.shape == (t, seed0_model.num_vertices, 3)
-    assert full.flags.c_contiguous
-    for i in range(t):
-        one = mc.forward_batch(seed0_model, params[i : i + 1], zero_posed=zero_posed)
-        assert _bits(one[0]) == _bits(full[i])
-    subset = rng.choice(seed0_model.num_vertices, size=rng.integers(1, 12))
-    sub = mc.forward_batch(seed0_model, params, zero_posed=zero_posed, vertices=subset)
-    assert sub.flags.c_contiguous
-    assert _bits(sub) == _bits(full[:, subset])
 
 
 def test_forward_batch_matches_loop_oracle(seed0_model, rng):

@@ -1,0 +1,60 @@
+"""Property tests (hypothesis) for the batched forward model and peak picking."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from facemotion import metrics  # noqa: E402
+from facemotion import motion_core as mc  # noqa: E402
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.sampled_from([1, 2, 25, 300]),
+    seed=st.integers(0, 2**32 - 1),
+    p_jaw=st.sampled_from([0.0, 0.5, 1.0]),
+    p_global=st.sampled_from([0.0, 0.5, 1.0]),
+    zero_posed=st.booleans(),
+)
+def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_jaw, p_global, zero_posed):
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-0.3, 0.3, size=(t, 58))
+    params[rng.random(t) >= p_jaw, 50:53] = 0.0
+    params[rng.random(t) >= p_global, 53:56] = 0.0
+    full = mc.forward_batch(seed0_model, params, zero_posed=zero_posed)
+    assert full.shape == (t, seed0_model.num_vertices, 3)
+    assert full.flags.c_contiguous
+    for i in range(t):
+        one = mc.forward_batch(seed0_model, params[i : i + 1], zero_posed=zero_posed)
+        assert _bits(one[0]) == _bits(full[i])
+    subset = rng.choice(seed0_model.num_vertices, size=rng.integers(1, 12))
+    sub = mc.forward_batch(seed0_model, params, zero_posed=zero_posed, vertices=subset)
+    assert sub.flags.c_contiguous
+    assert _bits(sub) == _bits(full[:, subset])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    body=st.lists(st.integers(0, 3), max_size=30),
+    lead=st.integers(0, 4),
+    trail=st.integers(0, 4),
+    frac=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+    min_distance=st.integers(1, 6),
+)
+@example(body=[0, 3, 1, 3, 0], lead=0, trail=0, frac=0.9, min_distance=1)
+def test_detect_peaks_matches_outward_scan_oracle(body, lead, trail, frac, min_distance):
+    # small integer alphabets give ties and interior plateaus; repeating the
+    # first and last samples adds plateaus at the edges
+    x = [body[0]] * lead + body + [body[-1]] * trail if body else []
+    got = metrics.detect_peaks(np.array(x, dtype=np.float64), frac, min_distance)
+    expected = oracles.peaks_outward_scan(x, frac, min_distance)
+    assert got.dtype == expected.dtype == np.int64
+    assert got.tolist() == expected.tolist()
