@@ -5,13 +5,17 @@ Binary containers are little-endian with u32 header fields. Motion frames,
 codebook entries and projections are stored as f32; loading promotes to
 f64. CSV motion files quantize to f32 and print each value with numpy's
 shortest round-trip repr, so CSV -> binary round-trips bit-exactly for any
-value representable in f32. All JSON reports are written with sorted keys
-and a trailing newline so identical inputs produce identical bytes.
+value representable in f32. Every binary read is checked against the bytes
+left in the file first, so a header that claims more data than the file
+holds raises FormatError instead of allocating what it claims. All JSON
+reports are written with sorted keys and a trailing newline so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -30,10 +34,12 @@ _PathLike = Union[str, Path]
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    # Compare with the bytes left before reading, so that a forged header
+    # count cannot size an allocation.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"truncated file while reading {what}: {n} bytes claimed, {left} left")
+    return fh.read(n)
 
 
 def _read_u32(fh, what: str) -> int:

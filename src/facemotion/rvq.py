@@ -4,8 +4,10 @@ Motion frames are grouped G at a time, each window flattened frame-major and
 mapped through an affine encode map into a latent space, where N_q stacked
 codebooks quantize successive residuals. Codebooks are trained with
 EMA-updated Lloyd iterations after a seeded k-means++ initialization; the
-encode/decode maps are fit by PCA over the flattened windows. The quantizer
-commitment objective is computed as a diagnostic only.
+encode/decode maps are fit by PCA over the flattened windows. Encoding and
+training pick codewords with one routine, ``_nearest_indices``: exact
+squared distances from explicit differences, lowest index on ties. The
+quantizer commitment objective is computed as a diagnostic only.
 """
 
 from __future__ import annotations
@@ -212,38 +214,40 @@ def window_decode(
 
 
 def _nearest_indices(points: np.ndarray, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact squared-distance argmin per point; ties resolve to the lowest index.
+    """Nearest codeword per point and its squared distance; ties go to the lowest index.
 
-    Distances are computed from explicit differences (not the expanded
-    quadratic form) so results match a brute-force scan bit for bit.
+    Equal, bit for bit, to a scan of explicit differences einsum(r - c, r - c).
+    One GEMM scores each codeword as s_k = |c_k|^2 - 2 r.c_k. With unit
+    roundoff u, g_m = mu/(1 - mu) and M = max |c_k|^2, a computed score is
+    within E1 = 2 g_{d+1} (|r|^2 + M) of s_k and a scanned distance within
+    E2 = 2 g_{d+3} (|r|^2 + M) of the true one, so the scan's winner scores
+    within 2 (E1 + E2) of its row's minimum. tol = (4d + 16)(u (|r|^2 + M) + eta)
+    exceeds E1 + E2 with room for its own rounding; eta, the smallest
+    subnormal, covers underflow. Only codewords within 2 tol of the row
+    minimum are scanned, in blocks of 2^15 values: one per row as a rule,
+    more where distances (nearly) tie.
     """
     n, d = points.shape
     k = codewords.shape[0]
-    idx = np.empty(n, dtype=np.int64)
-    best = np.empty(n)
-    chunk = max(1, (1 << 22) // max(1, k * d))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = points[lo:hi, None, :] - codewords[None, :, :]
-        d2 = np.einsum("nkd,nkd->nk", diff, diff)
-        idx[lo:hi] = np.argmin(d2, axis=1)
-        best[lo:hi] = d2[np.arange(hi - lo), idx[lo:hi]]
-    return idx, best
-
-
-def _assign_fast(points: np.ndarray, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Expanded-form assignment (|r|^2 - 2 r.c + |c|^2) for training loops.
-
-    One GEMM instead of a broadcast difference tensor; a few ulp noisier than
-    _nearest_indices, which encode paths keep for oracle parity.
-    """
-    d2 = points @ codewords.T
-    d2 *= -2.0
-    d2 += np.einsum("nd,nd->n", points, points)[:, None]
-    d2 += np.einsum("kd,kd->k", codewords, codewords)[None, :]
-    idx = np.argmin(d2, axis=1)
-    best = np.maximum(d2[np.arange(points.shape[0]), idx], 0.0)
-    return idx, best
+    u = np.finfo(np.float64).eps / 2
+    eta = np.finfo(np.float64).smallest_subnormal
+    scores = points @ codewords.T
+    scores *= -2.0
+    c2 = np.einsum("kd,kd->k", codewords, codewords)
+    scores += c2
+    r2 = np.einsum("nd,nd->n", points, points)
+    margin = 2.0 * (4 * d + 16) * (u * (r2 + c2.max()) + eta)
+    rows, cols = np.divmod(np.flatnonzero(scores <= (scores.min(axis=1) + margin)[:, None]), k)
+    dist = np.empty(rows.size)
+    step = max(1, (1 << 15) // max(1, d))
+    for lo in range(0, rows.size, step):
+        diff = codewords[cols[lo : lo + step]]
+        np.subtract(points[rows[lo : lo + step]], diff, out=diff)
+        dist[lo : lo + step] = np.einsum("pd,pd->p", diff, diff)
+    # rows come out ascending and each row has a candidate, so row i's run
+    # starts where i first appears; within it, lowest distance, then index
+    first = np.lexsort((cols, dist, rows))[np.searchsorted(rows, np.arange(n))]
+    return cols[first], dist[first]
 
 
 def rvq_encode(
@@ -251,8 +255,9 @@ def rvq_encode(
 ) -> Tuple[TokenSequence, np.ndarray]:
     """Greedy residual quantization; returns tokens and mean residual norm per level.
 
-    group_size is recorded in the token grid's config echo only; it does not
-    affect quantization.
+    Each level takes the nearest codeword, lowest index on ties. group_size
+    is recorded in the token grid's config echo only; it does not affect
+    quantization.
     """
     if cb.latent_dim != z.vectors.shape[1]:
         raise IncompatibleShapeError(
@@ -339,23 +344,16 @@ def shifted_windows(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> n
     return np.vstack(chunks)
 
 
-def fit_codec(
-    corpus: Sequence[MotionSequence], cfg: QuantizerConfig, augment_shifts: bool = True
-) -> Tuple[WindowProjection, Codebook]:
-    """Fit projections, then train codebooks on the encoded corpus windows.
+def fit_codec(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> Tuple[WindowProjection, Codebook]:
+    """Fit projections, then train codebooks on the encoded windows of every shift.
 
-    With augment_shifts the codebooks see every temporal shift of the
-    training windows, which keeps deeper quantizer levels informative when
-    the corpus is small relative to the codebook size.
+    The codebooks see every temporal shift of the training windows, which
+    keeps deeper quantizer levels informative when the corpus is small
+    relative to the codebook size.
     """
     proj = fit_projections(corpus, cfg)
-    if augment_shifts:
-        windows = shifted_windows(corpus, cfg)
-    else:
-        windows = np.vstack([flatten_windows(m.params, cfg.group_size) for m in corpus])
-    latents = windows @ proj.encode_w.T + proj.encode_b
-    cb = train_codebooks(latents, cfg)
-    return proj, cb
+    latents = shifted_windows(corpus, cfg) @ proj.encode_w.T + proj.encode_b
+    return proj, train_codebooks(latents, cfg)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -418,7 +416,7 @@ def _ema_iterate(points, state: _EmaState, cfg, max_iters, history):
     d = cfg.ema_decay
     prev = history[-1] if history else None
     for _ in range(max_iters):
-        idx, best = _assign_fast(points, state.centers)
+        idx, best = _nearest_indices(points, state.centers)
         distortion = float(best.mean())
         history.append(distortion)
         if prev is not None and prev - distortion < _REL_TOL * max(prev, 1e-30):
@@ -474,7 +472,7 @@ def train_codebooks(
     cfg: QuantizerConfig,
     return_history: bool = False,
 ):
-    """Train N_q residual codebooks; deterministic for a given cfg.seed."""
+    """Train N_q residual codebooks with encoding's exact metric; deterministic for a given cfg.seed."""
     vectors = latents.vectors if isinstance(latents, LatentSequence) else np.asarray(latents, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training batch must be a nonempty (M, d_z) array")
@@ -487,7 +485,7 @@ def train_codebooks(
         entries[j] = centers
         usage[j] = ema_cnt
         histories.append(history)
-        idx, _ = _assign_fast(residual, centers)
+        idx, _ = _nearest_indices(residual, centers)
         residual -= centers[idx]
     cb = Codebook(entries, usage)
     if return_history:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,14 @@ def test_motion_truncated_file(tmp_path):
     fileio.save_motion(path, m)
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(FormatError):
+        fileio.load_motion(path)
+
+
+def test_motion_forged_frame_count(tmp_path):
+    # 20 bytes whose header claims 2^31 frames (about 500 GB of payload)
+    path = tmp_path / "forged.a2mo"
+    path.write_bytes(b"A2MO" + struct.pack("<IfII", 1, 25.0, 2**31, 58))
+    with pytest.raises(FormatError, match="claimed"):
         fileio.load_motion(path)
 
 
@@ -150,6 +160,18 @@ def test_codebook_bad_magic(tmp_path):
         fileio.load_codebook(path)
 
 
+def test_codebook_forged_sizes(tmp_path):
+    header = b"A2CB" + struct.pack("<IIIII", 1, 1, 2**31, 4, 5) + struct.pack("<f", 0.25)
+    path = tmp_path / "forged.a2cb"
+    path.write_bytes(header)  # entries claim 2^33 values
+    with pytest.raises(FormatError, match="claimed"):
+        fileio.load_codebook(path)
+    header = b"A2CB" + struct.pack("<IIIII", 1, 1, 1, 4, 5) + struct.pack("<f", 0.25)
+    path.write_bytes(header + bytes(16) + struct.pack("<II", 2**16, 2**16))  # encode map claims 2^32
+    with pytest.raises(FormatError, match="claimed"):
+        fileio.load_codebook(path)
+
+
 # ---------------------------------------------------------------------------
 # tokens
 
@@ -173,6 +195,13 @@ def test_tokens_reject_huge_codebooks(tmp_path):
         fileio.save_tokens(tmp_path / "t.a2tk", tokens)
 
 
+def test_tokens_forged_count(tmp_path):
+    path = tmp_path / "forged.a2tk"
+    path.write_bytes(b"A2TK" + struct.pack("<IIII", 1, 2**31, 6, 256))
+    with pytest.raises(FormatError, match="claimed"):
+        fileio.load_tokens(path)
+
+
 # ---------------------------------------------------------------------------
 # features
 
@@ -186,6 +215,13 @@ def test_features_round_trip(tmp_path, rng):
     loaded = fileio.load_features(path)
     np.testing.assert_array_equal(loaded.features, h.features)
     assert loaded.fps == 25.0
+
+
+def test_features_forged_count(tmp_path):
+    path = tmp_path / "forged.a2fe"
+    path.write_bytes(b"A2FE" + struct.pack("<IfII", 1, 25.0, 2**31, 16))
+    with pytest.raises(FormatError, match="claimed"):
+        fileio.load_features(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) for the batched forward model and peak picking."""
+"""Property tests (hypothesis) for the batched forward model, peak picking and
+the nearest-codeword search."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import metrics  # noqa: E402
+from facemotion import metrics, rvq  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 
 
@@ -58,3 +59,56 @@ def test_detect_peaks_matches_outward_scan_oracle(body, lead, trail, frac, min_d
     expected = oracles.peaks_outward_scan(x, frac, min_distance)
     assert got.dtype == expected.dtype == np.int64
     assert got.tolist() == expected.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    k=st.integers(1, 10),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.integers(0, 6),
+    scale=st.sampled_from([1.0, 0.75, 2.0**-530]),
+    offset=st.sampled_from([0.0, 2.0**27, 2.0**40]),
+)
+def test_nearest_codeword_matches_scan_on_exact_ties(n, k, d, seed, copies, scale, offset):
+    # small-integer grids make distances exact and ties frequent; duplicate
+    # codewords and points equal to codewords add exact ties; a large common
+    # offset leaves the expanded form |c|^2 - 2 r.c without the precision to
+    # tell them apart, and a tiny scale pushes it into underflow
+    rng = np.random.default_rng(seed)
+    codewords = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+    codewords = np.vstack([codewords, codewords[rng.integers(0, k, size=copies)]])[rng.permutation(k + copies)]
+    points = rng.integers(-4, 5, size=(n, d)).astype(np.float64)
+    on_codeword = rng.random(n) < 0.3
+    points[on_codeword] = codewords[rng.integers(0, k + copies, size=int(on_codeword.sum()))]
+    codewords, points = codewords * scale + offset, points * scale + offset
+    idx, dist = rvq._nearest_indices(points, codewords)
+    assert idx.dtype == np.int64
+    assert idx.tolist() == oracles.nearest_codeword_scan(points, codewords[None])[:, 0].tolist()
+    for i in range(n):
+        diff = points[i] - codewords[idx[i]]
+        assert _bits(dist[i]) == _bits(np.einsum("d,d->", diff, diff))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 40),
+    d=st.sampled_from([1, 3, 8, 64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1e-12, 1e-6, 1.0]),
+)
+def test_nearest_codeword_equals_explicit_difference_scan(n, k, d, seed, spread):
+    # codewords a few ulp to a few spreads apart around one centre, points
+    # among them: near-ties that the GEMM scores cannot order
+    rng = np.random.default_rng(seed)
+    centre = rng.standard_normal(d)
+    codewords = centre + spread * rng.standard_normal((k, d)) * (rng.random((k, 1)) < 0.5)
+    codewords[1::3] = np.nextafter(codewords[::3][: len(codewords[1::3])], np.inf)
+    points = centre + spread * rng.standard_normal((n, d))
+    diff = points[:, None, :] - codewords[None, :, :]
+    d2 = np.einsum("nkd,nkd->nk", diff, diff)
+    idx, dist = rvq._nearest_indices(points, codewords)
+    assert idx.tolist() == np.argmin(d2, axis=1).tolist()
+    assert _bits(dist) == _bits(d2[np.arange(n), idx])
