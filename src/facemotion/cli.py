@@ -5,20 +5,28 @@ compare, simulate-stream. Every run writes a manifest JSON next to its
 outputs echoing the resolved configuration, so identical flags reproduce
 identical bytes.
 
-Flag precedence: command-line flags override values from --config (a JSON
-file with optional "synth", "quantizer", "weights", "metrics" and "stream"
-sections), which override built-in defaults.
+Configuration (CONFIG_SECTIONS): --config names a JSON object with optional
+sections "synth" (synth.SynthConfig), "quantizer" (rvq.QuantizerConfig),
+"weights" (losses.LossWeights), "metrics" (metrics.MetricsConfig but fps,
+which is the reference clip's) and "stream" (streamsim.TimingModel plus
+segment_tokens and seed), keyed by field name. Every key has a flag whose
+dest is the key. A flag beats the file, which beats the dataclass default.
+Each command checks the whole file first: an unknown section or key, or a
+value that is not a finite number (an integral one for int fields), is a
+format error.
 
-Exit codes: 0 success, 2 usage error, 3 file-format error,
-4 computation or input error (mismatched lengths, invalid values),
-5 I/O failure.
+Exit codes: 0 success, 2 usage error, 3 file-format error (including bad
+config files), 4 computation or input error (mismatched lengths, invalid
+values), 5 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +41,27 @@ EXIT_COMPUTE = 4
 EXIT_IO = 5
 
 
-def _load_config(path):
+def _schema(cls, *skip) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Config-file sections: key -> (type, default), all read from the dataclasses.
+CONFIG_SECTIONS = {
+    "synth": _schema(synth.SynthConfig),
+    "quantizer": _schema(rvq.QuantizerConfig),
+    "weights": _schema(losses.LossWeights),
+    "metrics": _schema(metrics.MetricsConfig, "fps"),
+    "stream": {
+        **_schema(streamsim.TimingModel),
+        "segment_tokens": (int, streamsim.SEGMENT_TOKENS),
+        "seed": _schema(streamsim.PredictorSpec)["seed"],
+    },
+}
+
+
+def _load_config(path) -> dict:
+    """Read a --config file, checking every section, key and value type."""
     if path is None:
         return {}
     try:
@@ -42,15 +70,38 @@ def _load_config(path):
         raise FormatError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    return doc
+    config = {}
+    for section, values in doc.items():
+        if section not in CONFIG_SECTIONS:
+            raise FormatError(f"{path}: unknown config section {section!r}; known: {', '.join(CONFIG_SECTIONS)}")
+        if not isinstance(values, dict):
+            raise FormatError(f"{path}: config section {section!r} must be a JSON object")
+        schema = CONFIG_SECTIONS[section]
+        config[section] = {}
+        for key, value in values.items():
+            if key not in schema:
+                raise FormatError(f"{path}: unknown key {key!r} in config section {section!r}")
+            typ = schema[key][0]
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if ok and typ is int:
+                ok = isinstance(value, int) or value.is_integer()
+            elif ok:  # False for NaN, infinities and ints beyond float range
+                ok = abs(value) <= sys.float_info.max
+            if not ok:
+                kind = "an integer" if typ is int else "a finite number"
+                raise FormatError(f"{path}: {section}.{key} must be {kind}, got {json.dumps(value)}")
+            config[section][key] = typ(value)
+    return config
 
 
-def _resolve(flag_value, config, section, key, default):
-    if flag_value is not None:
-        return flag_value
-    if section in config and isinstance(config[section], dict) and key in config[section]:
-        return config[section][key]
-    return default
+def _settings(args, config, section) -> dict:
+    """Every key of a config section: its flag if given, else the file's value, else the default."""
+    values = config.get(section, {})
+    settings = {}
+    for key, (_, default) in CONFIG_SECTIONS[section].items():
+        flag = getattr(args, key)
+        settings[key] = flag if flag is not None else values.get(key, default)
+    return settings
 
 
 def _say(args, message):
@@ -77,31 +128,28 @@ def _add_common(parser):
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+def _add_settings(parser, section, **renamed):
+    """One option per key of a config section, except seed (_add_common adds it
+    to every command), named --key-with-dashes unless renamed gives its flag."""
+    for key, (typ, default) in CONFIG_SECTIONS[section].items():
+        if key != "seed":
+            flag = renamed.get(key, "--" + key.replace("_", "-"))
+            parser.add_argument(flag, dest=key, type=typ, help=f"{section}.{key} (default {default})")
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
 
-def cmd_gen_data(args) -> int:
-    config = _load_config(args.config)
-    frames = int(_resolve(args.frames, config, "synth", "duration_frames", 250))
-    if frames < 1:
-        print(f"gen-data: --frames must be >= 1, got {frames}", file=sys.stderr)
+def cmd_gen_data(args, config) -> int:
+    settings = _settings(args, config, "synth")
+    if settings["duration_frames"] < 1:
+        print(f"gen-data: --frames must be >= 1, got {settings['duration_frames']}", file=sys.stderr)
         return EXIT_USAGE
-    vertices = int(_resolve(args.vertices, config, "synth", "num_vertices", 200))
-    if vertices < 10:
-        print(f"gen-data: --vertices must be >= 10, got {vertices}", file=sys.stderr)
+    if settings["num_vertices"] < 10:
+        print(f"gen-data: --vertices must be >= 10, got {settings['num_vertices']}", file=sys.stderr)
         return EXIT_USAGE
-    scfg = synth.SynthConfig(
-        seed=int(_resolve(args.seed, config, "synth", "seed", 0)),
-        num_vertices=vertices,
-        duration_frames=frames,
-        fps=float(_resolve(args.fps, config, "synth", "fps", 25.0)),
-        speech_rate_hz=float(_resolve(args.speech_rate, config, "synth", "speech_rate_hz", 4.0)),
-        expression_amplitude=float(
-            _resolve(args.expression_amplitude, config, "synth", "expression_amplitude", 0.08)
-        ),
-        noise_std=float(_resolve(args.noise_std, config, "synth", "noise_std", 0.002)),
-    )
+    scfg = synth.SynthConfig(**settings)
     out = _out_dir(args)
     model_path = out / "model.json"
     motion_path = out / "motion.a2mo"
@@ -123,24 +171,8 @@ def cmd_gen_data(args) -> int:
 # fit-codec
 
 
-def _quantizer_config(args, config) -> rvq.QuantizerConfig:
-    return rvq.QuantizerConfig(
-        group_size=int(_resolve(args.group_size, config, "quantizer", "group_size", 5)),
-        num_levels=int(_resolve(args.levels, config, "quantizer", "num_levels", 6)),
-        codebook_size=int(_resolve(args.codebook_size, config, "quantizer", "codebook_size", 256)),
-        latent_dim=int(_resolve(args.latent_dim, config, "quantizer", "latent_dim", 256)),
-        gamma=float(_resolve(args.gamma, config, "quantizer", "gamma", 0.25)),
-        ema_decay=float(_resolve(args.ema_decay, config, "quantizer", "ema_decay", 0.99)),
-        dead_code_threshold=float(
-            _resolve(args.dead_code_threshold, config, "quantizer", "dead_code_threshold", 1.0)
-        ),
-        seed=int(_resolve(args.seed, config, "quantizer", "seed", 0)),
-    )
-
-
-def cmd_fit_codec(args) -> int:
-    config = _load_config(args.config)
-    qcfg = _quantizer_config(args, config)
+def cmd_fit_codec(args, config) -> int:
+    qcfg = rvq.QuantizerConfig(**_settings(args, config, "quantizer"))
     corpus = [_load_motion_any(p) for p in args.motion]
     if not corpus:
         print("fit-codec: no training motion files given", file=sys.stderr)
@@ -167,7 +199,7 @@ def cmd_fit_codec(args) -> int:
             "codebook_term": codebook_term,
             "commit_term": commit_term,
             "quantizer_objective": vq_total,
-            "lambda_vq": 1.0,
+            "lambda_vq": 1.0,  # commitment_loss adds its two terms with unit weight
         },
     )
     _say(args, f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})")
@@ -178,7 +210,7 @@ def cmd_fit_codec(args) -> int:
 # encode / decode
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args, config) -> int:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     m = _load_motion_any(args.motion)
     z = rvq.window_encode(m, proj, qcfg)
@@ -192,7 +224,7 @@ def cmd_encode(args) -> int:
         seed=None,
         inputs={"codebook": str(args.codebook), "motion": str(args.motion)},
         outputs={"tokens": str(tok_path)},
-        config={"quantizer": qcfg.__dict__},
+        config={},
         results={
             "frames": len(m),
             "fps": m.fps,
@@ -203,12 +235,11 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args, config) -> int:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     tokens = fileio.load_tokens(args.tokens, group_size=qcfg.group_size)
     frames = args.frames if args.frames is not None else len(tokens) * qcfg.group_size
-    fps = args.fps if args.fps is not None else 25.0
-    z = rvq.rvq_decode(tokens, cb, fps_latent=fps / qcfg.group_size)
+    z = rvq.rvq_decode(tokens, cb, fps_latent=args.fps / qcfg.group_size)
     m = rvq.window_decode(z, proj, qcfg, original_t=frames)
     out = _out_dir(args)
     motion_path = out / "decoded.a2mo"
@@ -219,7 +250,7 @@ def cmd_decode(args) -> int:
         seed=None,
         inputs={"codebook": str(args.codebook), "tokens": str(args.tokens)},
         outputs={"motion": str(motion_path)},
-        config={"quantizer": qcfg.__dict__, "frames": frames, "fps": fps},
+        config={"frames": frames, "fps": args.fps},
     )
     _say(args, f"wrote {motion_path} ({frames} frames)")
     return EXIT_OK
@@ -229,19 +260,8 @@ def cmd_decode(args) -> int:
 # eval-recon / eval-metrics / compare
 
 
-def _loss_weights(args, config) -> losses.LossWeights:
-    return losses.LossWeights(
-        w_param=float(_resolve(args.w_param, config, "weights", "w_param", 1.0)),
-        w_geo=float(_resolve(args.w_geo, config, "weights", "w_geo", 1e5)),
-        w_dyn=float(_resolve(args.w_dyn, config, "weights", "w_dyn", 1e2)),
-        gamma=float(_resolve(args.gamma, config, "weights", "gamma", 0.25)),
-        lambda_vq=float(_resolve(args.lambda_vq, config, "weights", "lambda_vq", 1.0)),
-    )
-
-
-def cmd_eval_recon(args) -> int:
-    config = _load_config(args.config)
-    weights = _loss_weights(args, config)
+def cmd_eval_recon(args, config) -> int:
+    weights = losses.LossWeights(**_settings(args, config, "weights"))
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
     pred = _load_motion_any(args.pred)
@@ -270,23 +290,11 @@ def cmd_eval_recon(args) -> int:
     return EXIT_OK
 
 
-def _metrics_config(args, config, fps: float) -> metrics.MetricsConfig:
-    return metrics.MetricsConfig(
-        fps=fps,
-        epsilon=float(_resolve(args.epsilon, config, "metrics", "epsilon", 1e-8)),
-        peak_min_prominence=float(
-            _resolve(args.peak_prominence, config, "metrics", "peak_min_prominence", 0.05)
-        ),
-        peak_min_distance=int(_resolve(args.peak_distance, config, "metrics", "peak_min_distance", 3)),
-    )
-
-
-def cmd_eval_metrics(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval_metrics(args, config) -> int:
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
     pred = _load_motion_any(args.pred)
-    mcfg = _metrics_config(args, config, gt.fps)
+    mcfg = metrics.MetricsConfig(fps=gt.fps, **_settings(args, config, "metrics"))
     report = metrics.full_report(model, pred, gt, mcfg)
     out = _out_dir(args)
     report_path = out / "metrics_report.json"
@@ -315,11 +323,10 @@ _METRIC_TARGETS = {
 }
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args.config)
+def cmd_compare(args, config) -> int:
     model = fileio.load_model(args.model)
     reference = _load_motion_any(args.reference)
-    mcfg = _metrics_config(args, config, reference.fps)
+    mcfg = metrics.MetricsConfig(fps=reference.fps, **_settings(args, config, "metrics"))
     ref_ufd = metrics.ufd(model, reference)
 
     names, reports = [], []
@@ -377,12 +384,12 @@ def cmd_compare(args) -> int:
 # simulate-stream
 
 
-def cmd_simulate_stream(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate_stream(args, config) -> int:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     features = fileio.load_features(args.features)
-    segment_tokens = int(_resolve(args.segment_tokens, config, "stream", "segment_tokens", 5))
-    seed = int(_resolve(args.seed, config, "stream", "seed", 0))
+    settings = _settings(args, config, "stream")
+    segment_tokens = settings.pop("segment_tokens")
+    seed = settings.pop("seed")
 
     gt_tokens = None
     corpus = None
@@ -405,11 +412,7 @@ def cmd_simulate_stream(args) -> int:
             segment_tokens,
         )
     predictor = streamsim.PredictorSpec(kind=args.predictor, corpus=corpus, gt_tokens=gt_tokens, seed=seed)
-    timing = streamsim.TimingModel(
-        text_token_ms=float(_resolve(args.text_ms, config, "stream", "text_token_ms", 10.0)),
-        audio_token_ms=float(_resolve(args.audio_ms, config, "stream", "audio_token_ms", 40.0)),
-        segment_ms=float(_resolve(args.segment_ms, config, "stream", "segment_ms", 100.0)),
-    )
+    timing = streamsim.TimingModel(**settings)
     tokens, motion, log = streamsim.run_stream(
         features, predictor, cb, proj, qcfg, segment_tokens=segment_tokens, timing=timing
     )
@@ -439,7 +442,6 @@ def cmd_simulate_stream(args) -> int:
         inputs=inputs,
         outputs={k: str(v) for k, v in paths.items()},
         config={
-            "quantizer": qcfg.__dict__,
             "stream": {
                 "predictor": args.predictor,
                 "segment_tokens": segment_tokens,
@@ -464,24 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic model and motion sequence")
     _add_common(p)
-    p.add_argument("--frames", type=int, default=None, help="number of motion frames (default 250)")
-    p.add_argument("--vertices", type=int, default=None, help="mesh vertex count (default 200)")
-    p.add_argument("--fps", type=float, default=None, help="frame rate (default 25)")
-    p.add_argument("--speech-rate", type=float, default=None, help="jaw bursts per second (default 4)")
-    p.add_argument("--expression-amplitude", type=float, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
+    _add_settings(p, "synth", duration_frames="--frames", num_vertices="--vertices", speech_rate_hz="--speech-rate")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-codec", help="fit window projections and codebooks on motion files")
     _add_common(p)
     p.add_argument("--motion", action="append", required=True, help="training motion file (repeatable)")
-    p.add_argument("--group-size", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--codebook-size", type=int, default=None)
-    p.add_argument("--latent-dim", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--ema-decay", type=float, default=None)
-    p.add_argument("--dead-code-threshold", type=float, default=None)
+    _add_settings(p, "quantizer", num_levels="--levels")
     p.set_defaults(func=cmd_fit_codec)
 
     p = sub.add_parser("encode", help="encode a motion file to tokens")
@@ -495,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--tokens", required=True)
     p.add_argument("--frames", type=int, default=None, help="original frame count (default: all)")
-    p.add_argument("--fps", type=float, default=None, help="output frame rate (default 25)")
+    p.add_argument("--fps", type=float, default=25.0, help="output frame rate (default %(default)s)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval-recon", help="itemized reconstruction loss report")
@@ -504,11 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--codebook", default=None, help="include quantizer diagnostics")
-    p.add_argument("--w-param", type=float, default=None)
-    p.add_argument("--w-geo", type=float, default=None)
-    p.add_argument("--w-dyn", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lambda-vq", type=float, default=None)
+    _add_settings(p, "weights")
     p.set_defaults(func=cmd_eval_recon)
 
     p = sub.add_parser("eval-metrics", help="full metric report for a prediction/reference pair")
@@ -516,9 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--peak-prominence", type=float, default=None)
-    p.add_argument("--peak-distance", type=int, default=None)
+    _add_settings(p, "metrics", peak_min_prominence="--peak-prominence", peak_min_distance="--peak-distance")
     p.set_defaults(func=cmd_eval_metrics)
 
     p = sub.add_parser("compare", help="rank candidate motions against one reference")
@@ -526,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", action="append", required=True, help="candidate motion file (repeatable)")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--peak-prominence", type=float, default=None)
-    p.add_argument("--peak-distance", type=int, default=None)
+    _add_settings(p, "metrics", peak_min_prominence="--peak-prominence", peak_min_distance="--peak-distance")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate-stream", help="run the segment-wise decode protocol")
@@ -539,10 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-tokens", default=None, help="token file for the oracle predictor")
     p.add_argument("--corpus-features", default=None, help="feature file for the retrieval corpus")
     p.add_argument("--corpus-tokens", default=None, help="token file for the retrieval corpus")
-    p.add_argument("--segment-tokens", type=int, default=None)
-    p.add_argument("--text-ms", type=float, default=None)
-    p.add_argument("--audio-ms", type=float, default=None)
-    p.add_argument("--segment-ms", type=float, default=None)
+    _add_settings(p, "stream", text_token_ms="--text-ms", audio_token_ms="--audio-ms")
     p.set_defaults(func=cmd_simulate_stream)
 
     return parser
@@ -551,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except FormatError as exc:
         print(f"facemotion {args.command}: format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

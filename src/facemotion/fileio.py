@@ -7,9 +7,12 @@ f64. CSV motion files quantize to f32 and print each value with numpy's
 shortest round-trip repr, so CSV -> binary round-trips bit-exactly for any
 value representable in f32. Every binary read is checked against the bytes
 left in the file first, so a header that claims more data than the file
-holds raises FormatError instead of allocating what it claims. All JSON
-reports are written with sorted keys and a trailing newline so identical
-inputs produce identical bytes.
+holds raises FormatError instead of allocating what it claims. A binary file
+must end where its data ends, and content the package objects reject
+(non-finite values, K=0, zero feature columns, token indices >= K,
+projection maps that are not d_z x G*58) also raises FormatError. All JSON reports are written with
+sorted keys and a trailing newline so identical inputs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import losses, metrics, motion_core, rvq, streamsim
-from .errors import FormatError
+from .errors import FormatError, IncompatibleShapeError
 
 MOTION_MAGIC = b"A2MO"
 CODEBOOK_MAGIC = b"A2CB"
@@ -33,10 +37,14 @@ FEATURE_MAGIC = b"A2FE"
 _PathLike = Union[str, Path]
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     # Compare with the bytes left before reading, so that a forged header
     # count cannot size an allocation.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left = _bytes_left(fh)
     if n > left:
         raise FormatError(f"truncated file while reading {what}: {n} bytes claimed, {left} left")
     return fh.read(n)
@@ -55,10 +63,29 @@ def _read_f32_array(fh, count: int, what: str) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4").astype(np.float64)
 
 
-def _check_magic(fh, magic: bytes, path) -> None:
-    got = fh.read(4)
-    if got != magic:
-        raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
+@contextmanager
+def _container(path: _PathLike, magic: bytes, kind: str):
+    """Open a version-1 binary container and yield it after magic and version.
+
+    The body reads the payload and builds the object; when it leaves, also
+    by return, the file must be at its end. Everything that goes wrong,
+    including the objects' own ValueError/IncompatibleShapeError checks,
+    raises FormatError naming the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            got = fh.read(4)
+            if got != magic:
+                raise FormatError(f"expected magic {magic!r}, found {got!r}")
+            version = _read_u32(fh, "version")
+            if version != 1:
+                raise FormatError(f"unsupported {kind} version {version}")
+            yield fh
+            left = _bytes_left(fh)
+            if left:
+                raise FormatError(f"{left} trailing bytes after the {kind} data")
+        except (FormatError, ValueError, IncompatibleShapeError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +104,14 @@ def save_motion(path: _PathLike, m: motion_core.MotionSequence) -> None:
 
 
 def load_motion(path: _PathLike) -> motion_core.MotionSequence:
-    with open(path, "rb") as fh:
-        _check_magic(fh, MOTION_MAGIC, path)
-        version = _read_u32(fh, "version")
-        if version != 1:
-            raise FormatError(f"{path}: unsupported motion format version {version}")
+    with _container(path, MOTION_MAGIC, "motion") as fh:
         fps = _read_f32(fh, "fps")
         count = _read_u32(fh, "frame_count")
         dim = _read_u32(fh, "dim")
         if dim != motion_core.FRAME_DIM:
-            raise FormatError(f"{path}: frame dim must be {motion_core.FRAME_DIM}, got {dim}")
+            raise FormatError(f"frame dim must be {motion_core.FRAME_DIM}, got {dim}")
         frames = _read_f32_array(fh, count * dim, "frames").reshape(count, dim)
-    return motion_core.MotionSequence(frames, fps=fps)
+        return motion_core.MotionSequence(frames, fps=fps)
 
 
 def _f32_repr(value: float) -> str:
@@ -199,28 +222,27 @@ def save_codebook(path: _PathLike, cb: rvq.Codebook, proj: rvq.WindowProjection,
 
 
 def load_codebook(path: _PathLike) -> Tuple[rvq.Codebook, rvq.WindowProjection, rvq.QuantizerConfig]:
-    with open(path, "rb") as fh:
-        _check_magic(fh, CODEBOOK_MAGIC, path)
-        version = _read_u32(fh, "version")
-        if version != 1:
-            raise FormatError(f"{path}: unsupported codebook version {version}")
+    with _container(path, CODEBOOK_MAGIC, "codebook") as fh:
         n_q = _read_u32(fh, "num_levels")
         k = _read_u32(fh, "codebook_size")
         d_z = _read_u32(fh, "latent_dim")
         g = _read_u32(fh, "group_size")
         gamma = _read_f32(fh, "gamma")
+        cfg = rvq.QuantizerConfig(
+            group_size=g, num_levels=n_q, codebook_size=k, latent_dim=d_z, gamma=float(np.float32(gamma))
+        )
         entries = _read_f32_array(fh, n_q * k * d_z, "entries").reshape(n_q, k, d_z)
         maps = []
         for what in ("encode", "decode"):
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, f"{what} dims"))
-            mat = _read_f32_array(fh, rows * cols, f"{what} matrix").reshape(rows, cols)
-            bias = _read_f32_array(fh, rows, f"{what} bias")
-            maps.append((mat, bias))
-    cfg = rvq.QuantizerConfig(
-        group_size=g, num_levels=n_q, codebook_size=k, latent_dim=d_z, gamma=float(np.float32(gamma))
-    )
-    proj = rvq.WindowProjection(maps[0][0], maps[0][1], maps[1][0], maps[1][1])
-    return rvq.Codebook(entries), proj, cfg
+            maps.append(_read_f32_array(fh, rows * cols, f"{what} matrix").reshape(rows, cols))
+            maps.append(_read_f32_array(fh, rows, f"{what} bias"))
+        proj = rvq.WindowProjection(*maps)
+        if (proj.latent_dim, proj.window_dim) != (d_z, cfg.window_dim):
+            raise FormatError(
+                f"encode map is {proj.latent_dim}x{proj.window_dim}, expected {d_z}x{cfg.window_dim} (d_z x G*58)"
+            )
+        return rvq.Codebook(entries), proj, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +263,13 @@ def save_tokens(path: _PathLike, tokens: rvq.TokenSequence) -> None:
 
 def load_tokens(path: _PathLike, group_size: int = 5) -> rvq.TokenSequence:
     """Token files do not carry the temporal group size; pass the codec's."""
-    with open(path, "rb") as fh:
-        _check_magic(fh, TOKEN_MAGIC, path)
-        version = _read_u32(fh, "version")
-        if version != 1:
-            raise FormatError(f"{path}: unsupported token version {version}")
+    with _container(path, TOKEN_MAGIC, "token") as fh:
         count = _read_u32(fh, "count")
         n_q = _read_u32(fh, "num_levels")
         k = _read_u32(fh, "codebook_size")
         data = _read_exact(fh, 2 * count * n_q, "indices")
         indices = np.frombuffer(data, dtype="<u2").astype(np.int64).reshape(count, n_q)
-    return rvq.TokenSequence(indices, group_size=group_size, num_levels=n_q, codebook_size=k)
+        return rvq.TokenSequence(indices, group_size=group_size, num_levels=n_q, codebook_size=k)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +287,12 @@ def save_features(path: _PathLike, h: streamsim.AudioFeatureSequence) -> None:
 
 
 def load_features(path: _PathLike) -> streamsim.AudioFeatureSequence:
-    with open(path, "rb") as fh:
-        _check_magic(fh, FEATURE_MAGIC, path)
-        version = _read_u32(fh, "version")
-        if version != 1:
-            raise FormatError(f"{path}: unsupported feature version {version}")
+    with _container(path, FEATURE_MAGIC, "feature") as fh:
         fps = _read_f32(fh, "fps")
         count = _read_u32(fh, "count")
         dim = _read_u32(fh, "dim")
         feats = _read_f32_array(fh, count * dim, "features").reshape(count, dim)
-    return streamsim.AudioFeatureSequence(feats, fps=fps)
+        return streamsim.AudioFeatureSequence(feats, fps=fps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ and commitment terms, each scaled by lambda_vq, on top of l_rec:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -35,23 +35,14 @@ class LossWeights:
     w_dyn: float = 1e2
     gamma: float = 0.25
     lambda_vq: float = 1.0
-    reduction: str = REDUCTION
 
     def __post_init__(self):
         for name in ("w_param", "w_geo", "w_dyn", "gamma", "lambda_vq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.reduction != REDUCTION:
-            raise ValueError(f"unsupported reduction '{self.reduction}'")
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "w_param": self.w_param,
-            "w_geo": self.w_geo,
-            "w_dyn": self.w_dyn,
-            "gamma": self.gamma,
-            "lambda_vq": self.lambda_vq,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -81,7 +72,7 @@ class LossReport:
                 "l_vqvae": self.l_vqvae,
             },
             "weights": self.weights.to_dict(),
-            "reduction": self.weights.reduction,
+            "reduction": REDUCTION,
         }
 
 

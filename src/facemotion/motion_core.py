@@ -138,8 +138,8 @@ class MotionSequence:
         if not np.all(np.isfinite(self.params)):
             raise ValueError("motion params contain non-finite values")
         self.fps = float(self.fps)
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
 
     @classmethod
     def from_frames(cls, frames, fps: float = 25.0) -> "MotionSequence":

@@ -37,7 +37,7 @@ class QuantizerConfig:
         for name in ("group_size", "num_levels", "codebook_size", "latent_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in (0, 1), got {self.ema_decay}")

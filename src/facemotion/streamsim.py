@@ -33,6 +33,9 @@ EVENT_KINDS = (
 
 PREDICTOR_KINDS = ("hold_last", "retrieval", "oracle", "uniform")
 
+# Tokens per decode segment: 5 tokens at G=5 and 25 fps is one second.
+SEGMENT_TOKENS = 5
+
 
 @dataclass
 class AudioFeatureSequence:
@@ -43,13 +46,13 @@ class AudioFeatureSequence:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise IncompatibleShapeError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise IncompatibleShapeError(f"features must be 2-D with >= 1 column, got shape {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
         self.fps = float(self.fps)
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -123,7 +126,7 @@ class SegmentState:
                 raise ValueError("history token indices out of range")
 
 
-def initial_state(cfg: QuantizerConfig, segment_tokens: int = 5) -> SegmentState:
+def initial_state(cfg: QuantizerConfig, segment_tokens: int = SEGMENT_TOKENS) -> SegmentState:
     return SegmentState(
         history_tokens=None,
         segment_index=0,
@@ -322,13 +325,26 @@ class WallClock:
         pass
 
 
+def _segment_chunks(
+    features: AudioFeatureSequence, cfg: QuantizerConfig, segment_tokens: int
+) -> List[AudioFeatureSequence]:
+    """The feature rows of each segment: G * segment_tokens frames, the last maybe fewer."""
+    if segment_tokens < 1:
+        raise ValueError(f"segment_tokens must be >= 1, got {segment_tokens}")
+    seg_frames = cfg.group_size * segment_tokens
+    return [
+        AudioFeatureSequence(features.features[i : i + seg_frames], fps=features.fps)
+        for i in range(0, len(features), seg_frames)
+    ]
+
+
 def run_stream(
     features: AudioFeatureSequence,
     predictor: PredictorSpec,
     cb: Codebook,
     proj: WindowProjection,
     cfg: QuantizerConfig,
-    segment_tokens: int = 5,
+    segment_tokens: int = SEGMENT_TOKENS,
     timing: Optional[TimingModel] = None,
     clock=None,
 ) -> Tuple[TokenSequence, MotionSequence, StreamEventLog]:
@@ -338,8 +354,7 @@ def run_stream(
     first_motion_frame/segment_done events and a final stream_done whose
     payload records the synthesized content duration.
     """
-    if segment_tokens < 1:
-        raise ValueError(f"segment_tokens must be >= 1, got {segment_tokens}")
+    chunks = _segment_chunks(features, cfg, segment_tokens)
     timing = timing or TimingModel()
     clock = clock if clock is not None else ManualClock()
     log = StreamEventLog()
@@ -349,15 +364,10 @@ def run_stream(
     clock.advance(timing.audio_token_ms)
     log.append(clock.now_ms, "first_audio_token")
 
-    seg_frames = cfg.group_size * segment_tokens
     state = initial_state(cfg, segment_tokens)
     token_chunks: List[np.ndarray] = []
     motion_chunks: List[np.ndarray] = []
-    n_segments = math.ceil(len(features) / seg_frames)
-    for s in range(n_segments):
-        chunk = AudioFeatureSequence(
-            features.features[s * seg_frames : (s + 1) * seg_frames], fps=features.fps
-        )
+    for s, chunk in enumerate(chunks):
         tokens, motion, state = step(state, chunk, predictor, cb, proj)
         clock.advance(timing.segment_ms)
         if s == 0:
@@ -380,16 +390,11 @@ def make_retrieval_corpus(
     features: AudioFeatureSequence,
     tokens: TokenSequence,
     cfg: QuantizerConfig,
-    segment_tokens: int = 5,
+    segment_tokens: int = SEGMENT_TOKENS,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Build (pooled feature key, token segment) pairs from an aligned stream."""
-    seg_frames = cfg.group_size * segment_tokens
     out: List[Tuple[np.ndarray, np.ndarray]] = []
-    n_segments = math.ceil(len(features) / seg_frames)
-    for s in range(n_segments):
-        chunk = AudioFeatureSequence(
-            features.features[s * seg_frames : (s + 1) * seg_frames], fps=features.fps
-        )
+    for s, chunk in enumerate(_segment_chunks(features, cfg, segment_tokens)):
         pooled = downsample_features(chunk, cfg.group_size)
         rows = tokens.indices[s * segment_tokens : s * segment_tokens + len(pooled)]
         if rows.shape[0] == 0:

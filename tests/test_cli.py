@@ -336,3 +336,96 @@ def test_simulate_stream_rerun_is_byte_identical(tmp_path):
     assert run(*argv) == 0
     for name in names:
         assert (tmp_path / "s" / name).read_bytes() == first[name], name
+
+
+# ---------------------------------------------------------------------------
+# --config files
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"synth": {"duration_frames": None}}, "synth.duration_frames"),
+        ({"synth": {"duration_frame": 20}}, "'duration_frame' in config section 'synth'"),
+        ({"quantiser": {"num_levels": 2}}, "'quantiser'"),
+        ({"synth": 5}, "'synth'"),
+        ({"quantizer": {"num_levels": 2.7}}, "quantizer.num_levels"),
+        ({"metrics": {"fps": 30}}, "'fps' in config section 'metrics'"),
+        ({"weights": {"w_geo": float("nan")}}, "weights.w_geo"),
+        ({"weights": {"w_geo": "1e5"}}, "weights.w_geo"),
+        ({"stream": {"segment_tokens": True}}, "stream.segment_tokens"),
+        ({"stream": {"segment_ms": 10**400}}, "stream.segment_ms"),
+    ],
+)
+def test_bad_config_file_exits_3_naming_section_and_key(tmp_path, capsys, doc, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "data"
+    # gen-data reads only "synth"; every section is checked all the same
+    assert run("gen-data", "--out", out, "--config", cfg, "--frames", 20, "--vertices", 24) == 3
+    assert named in capsys.readouterr().err
+    assert not (out / "motion.a2mo").exists()
+
+
+@pytest.fixture()
+def pipeline(tmp_path):
+    data = gen(tmp_path)
+    cb_path = fit(tmp_path, data / "motion.a2mo")
+    return data, cb_path, make_features(tmp_path, t=20)
+
+
+# (section, key, file value, flag, flag value, command argv builder)
+PRECEDENCE = [
+    ("synth", "duration_frames", 12, "--frames", 15, lambda data, cb, feats: ["gen-data", "--vertices", 24]),
+    ("quantizer", "num_levels", 2, "--levels", 1,
+     lambda data, cb, feats: ["fit-codec", "--motion", data / "motion.a2mo", "--codebook-size", 4,
+                              "--latent-dim", 8]),
+    ("weights", "w_geo", 3.0, "--w-geo", 5.0,
+     lambda data, cb, feats: ["eval-recon", "--model", data / "model.json", "--gt", data / "motion.a2mo",
+                              "--pred", data / "motion.a2mo"]),
+    ("metrics", "peak_min_distance", 5, "--peak-distance", 7,
+     lambda data, cb, feats: ["eval-metrics", "--model", data / "model.json", "--gt", data / "motion.a2mo",
+                              "--pred", data / "motion.a2mo"]),
+    ("stream", "segment_tokens", 3, "--segment-tokens", 2,
+     lambda data, cb, feats: ["simulate-stream", "--features", feats, "--codebook", cb]),
+    ("stream", "text_token_ms", 3.0, "--text-ms", 7.0,
+     lambda data, cb, feats: ["simulate-stream", "--features", feats, "--codebook", cb]),
+]
+
+
+def _echo(manifest, section, key):
+    config = manifest["config"][section]
+    return config["timing"][key] if key in config.get("timing", {}) else config[key]
+
+
+@pytest.mark.parametrize("section, key, file_value, flag, flag_value, argv", PRECEDENCE)
+def test_config_value_beats_default_and_flag_beats_config(tmp_path, pipeline, section, key, file_value, flag,
+                                                          flag_value, argv):
+    base = argv(*pipeline)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: file_value}}))
+    assert cli.CONFIG_SECTIONS[section][key][1] not in (file_value, flag_value)
+    manifest_name = f"{base[0]}.manifest.json"
+    for name, extra, expected in (("from_file", [], file_value), ("from_flag", [flag, flag_value], flag_value)):
+        out = tmp_path / name
+        assert run(*base, "--out", out, "--config", cfg, *extra) == 0
+        manifest = json.loads((out / manifest_name).read_text())
+        assert _echo(manifest, section, key) == expected
+
+
+def test_codebook_commands_do_not_echo_quantizer_settings_the_file_lacks(tmp_path):
+    data = gen(tmp_path, frames=20)
+    cb_path = fit(tmp_path, data / "motion.a2mo", ema_decay=0.5, dead_code_threshold=0.2, seed=7)
+    fit_manifest = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())
+    assert fit_manifest["config"]["quantizer"]["ema_decay"] == 0.5
+    enc, dec, stream = tmp_path / "enc", tmp_path / "dec", tmp_path / "stream"
+    assert run("encode", "--out", enc, "--codebook", cb_path, "--motion", data / "motion.a2mo") == 0
+    assert run("decode", "--out", dec, "--codebook", cb_path, "--tokens", enc / "tokens.a2tk") == 0
+    assert run("simulate-stream", "--out", stream, "--features", make_features(tmp_path),
+               "--codebook", cb_path) == 0
+    for manifest_path in (enc / "encode.manifest.json", dec / "decode.manifest.json",
+                          stream / "simulate-stream.manifest.json"):
+        manifest = json.loads(manifest_path.read_text())
+        assert "quantizer" not in manifest["config"]
+        assert manifest["inputs"]["codebook"] == str(cb_path)
+

@@ -310,3 +310,62 @@ def test_manifest_round_trip(tmp_path):
     assert doc["manifest"] == 1
     assert doc["command"] == "gen-data"
     assert doc["tool_version"] == __import__("facemotion").__version__
+
+
+# ---------------------------------------------------------------------------
+# forged files: readable, but invalid content or trailing bytes
+
+
+def _patch(blob, offset, fmt, value):
+    size = struct.calcsize(fmt)
+    return blob[:offset] + struct.pack(fmt, value) + blob[offset + size :]
+
+
+def _valid_blob(tmp_path, kind):
+    path = tmp_path / f"valid.{kind}"
+    if kind == "a2mo":
+        fileio.save_motion(path, MotionSequence(np.zeros((3, FRAME_DIM))))
+    elif kind == "a2fe":
+        fileio.save_features(path, streamsim.AudioFeatureSequence(np.zeros((3, 4))))
+    elif kind == "a2tk":
+        fileio.save_tokens(path, rvq.TokenSequence(np.zeros((2, 2)), group_size=5, num_levels=2, codebook_size=2))
+    else:
+        cfg = rvq.QuantizerConfig(group_size=1, num_levels=1, codebook_size=2, latent_dim=3)
+        proj = rvq.WindowProjection(np.ones((3, FRAME_DIM)), np.zeros(3), np.ones((FRAME_DIM, 3)), np.zeros(FRAME_DIM))
+        fileio.save_codebook(path, rvq.Codebook(np.zeros((1, 2, 3))), proj, cfg)
+    return path.read_bytes()
+
+
+LOADERS = {"a2mo": fileio.load_motion, "a2fe": fileio.load_features, "a2tk": fileio.load_tokens,
+           "a2cb": fileio.load_codebook}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, forge, message",
+    [
+        ("a2mo", lambda b: b + b"\x00", "trailing"),
+        ("a2mo", lambda b: _patch(b, 8, "<f", NAN), "fps"),
+        ("a2mo", lambda b: _patch(b, 8, "<f", INF), "fps"),
+        ("a2mo", lambda b: _patch(b, 20, "<f", INF), "non-finite"),
+        ("a2fe", lambda b: b + bytes(4), "trailing"),
+        ("a2fe", lambda b: _patch(b, 8, "<f", NAN), "fps"),
+        ("a2fe", lambda b: _patch(b, 24, "<f", NAN), "non-finite"),
+        ("a2fe", lambda b: _patch(_patch(b, 12, "<I", 2**32 - 1), 16, "<I", 0)[:20], "column"),
+        ("a2tk", lambda b: b + bytes(2), "trailing"),
+        ("a2tk", lambda b: _patch(b, 16, "<I", 0), "positive"),
+        ("a2tk", lambda b: _patch(b, 20, "<H", 2), r"\[0, 2\)"),
+        ("a2cb", lambda b: b + b"\x00", "trailing"),
+        ("a2cb", lambda b: _patch(b, 12, "<I", 0), "codebook_size must be positive"),
+        ("a2cb", lambda b: _patch(b, 24, "<f", NAN), "gamma"),
+        ("a2cb", lambda b: _patch(b, 28, "<f", INF), "non-finite"),
+        ("a2cb", lambda b: _patch(b, 20, "<I", 2), "expected 3x116"),
+        ("a2cb", lambda b: b[:-4] + struct.pack("<f", NAN), "non-finite"),
+    ],
+)
+def test_forged_file_raises_format_error(tmp_path, kind, forge, message):
+    path = tmp_path / f"forged.{kind}"
+    path.write_bytes(forge(_valid_blob(tmp_path, kind)))
+    with pytest.raises(FormatError, match=message):
+        LOADERS[kind](path)
+

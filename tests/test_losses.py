@@ -238,5 +238,3 @@ def test_total_losses_end_to_end_oracle(seed0_model, rng):
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         losses.LossWeights(w_geo=-1.0)
-    with pytest.raises(ValueError):
-        losses.LossWeights(reduction="sum")

@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the batched forward model, peak picking and
-the nearest-codeword search."""
+"""Property tests (hypothesis) for the batched forward model, peak picking,
+the nearest-codeword search and the binary loaders."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from facemotion import metrics, rvq  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
+from facemotion.errors import FormatError  # noqa: E402
+from test_fileio import LOADERS, _valid_blob  # noqa: E402
 
 
 def _bits(a):
@@ -112,3 +114,26 @@ def test_nearest_codeword_equals_explicit_difference_scan(n, k, d, seed, spread)
     idx, dist = rvq._nearest_indices(points, codewords)
     assert idx.tolist() == np.argmin(d2, axis=1).tolist()
     assert _bits(dist) == _bits(d2[np.arange(n), idx])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOADERS)),
+    writes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
+    cut=st.integers(0, 10**6),
+    tail=st.binary(max_size=6),
+)
+def test_corrupted_binary_files_load_or_raise_format_error(tmp_path_factory, kind, writes, cut, tail):
+    base = tmp_path_factory.getbasetemp()
+    blob = bytearray(_valid_blob(base, kind))
+    for offset, value in writes:
+        blob[offset % len(blob)] = value
+    path = base / f"corrupt.{kind}"
+    path.write_bytes(bytes(blob[: len(blob) - cut % 9]) + tail)
+    # with the header intact, any change of length leaves missing or trailing bytes
+    must_fail = not writes and len(tail) != cut % 9
+    try:
+        LOADERS[kind](path)
+    except FormatError:
+        return
+    assert not must_fail

@@ -192,6 +192,16 @@ def test_make_retrieval_corpus_round_trip(rng):
         assert key.shape == (6,)
 
 
+def test_segment_tokens_below_one_is_rejected(rng):
+    cfg, proj, cb = codec(rng)
+    feats = features(rng, t=50)
+    tokens = rvq.TokenSequence(rng.integers(0, 8, size=(10, 2)), group_size=5, num_levels=2, codebook_size=8)
+    with pytest.raises(ValueError, match="segment_tokens"):
+        streamsim.make_retrieval_corpus(feats, tokens, cfg, segment_tokens=0)
+    with pytest.raises(ValueError, match="segment_tokens"):
+        streamsim.run_stream(feats, streamsim.PredictorSpec("hold_last"), cb, proj, cfg, segment_tokens=0)
+
+
 # ---------------------------------------------------------------------------
 # event logs and latency
 
