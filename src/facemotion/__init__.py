@@ -18,20 +18,7 @@ from .errors import (
     ModelConfigError,
     StreamProtocolError,
 )
-from .motion_core import (
-    CHANNEL_NAMES,
-    FRAME_DIM,
-    BlendshapeModel,
-    FlameFrame,
-    MotionSequence,
-    VertexFrame,
-    forward_batch,
-    forward_vertices,
-    mouth_opening,
-    mouth_width,
-    sequence_vertices,
-    zero_pose,
-)
+from .motion_core import CHANNEL_NAMES, FRAME_DIM, BlendshapeModel, MotionSequence, forward_batch
 from .rvq import (
     Codebook,
     LatentSequence,

@@ -64,10 +64,7 @@ def _load_config(path) -> dict:
     """Read a --config file, checking every section, key and value type."""
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: config is not valid JSON: {exc}") from exc
+    doc = fileio.read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     config = {}
@@ -123,18 +120,16 @@ def _load_motion_any(path) -> motion_core.MotionSequence:
 
 def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
 def _add_settings(parser, section, **renamed):
-    """One option per key of a config section, except seed (_add_common adds it
-    to every command), named --key-with-dashes unless renamed gives its flag."""
+    """One option per key of a config section, named --key-with-dashes unless
+    renamed gives its flag."""
     for key, (typ, default) in CONFIG_SECTIONS[section].items():
-        if key != "seed":
-            flag = renamed.get(key, "--" + key.replace("_", "-"))
-            parser.add_argument(flag, dest=key, type=typ, help=f"{section}.{key} (default {default})")
+        flag = renamed.get(key, "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=typ, help=f"{section}.{key} (default {default})")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def cmd_compare(args, config) -> int:
     names, reports = [], []
     for i, path in enumerate(args.candidate):
         name = Path(path).stem
-        if name in names:
+        while name in names:
             name = f"{name}_{i}"
         names.append(name)
         reports.append(metrics.full_report(model, _load_motion_any(path), reference, mcfg))

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import losses, metrics, motion_core, rvq, streamsim
-from .errors import FormatError, IncompatibleShapeError
+from .errors import FaceMotionError, FormatError, IncompatibleShapeError
 
 MOTION_MAGIC = b"A2MO"
 CODEBOOK_MAGIC = b"A2CB"
@@ -61,6 +61,22 @@ def _read_f32(fh, what: str) -> float:
 def _read_f32_array(fh, count: int, what: str) -> np.ndarray:
     data = _read_exact(fh, 4 * count, what)
     return np.frombuffer(data, dtype="<f4").astype(np.float64)
+
+
+def _read_text(path: _PathLike) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: _PathLike):
+    """Parse a UTF-8 JSON document; undecodable bytes or invalid JSON raise FormatError."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 @contextmanager
@@ -127,8 +143,15 @@ def save_motion_csv(path: _PathLike, m: motion_core.MotionSequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _csv_number(path: _PathLike, line_no: int, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise FormatError(f"{path}:{line_no}: not a number: {cell!r}") from None
+
+
 def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     fps = 25.0
     rows: List[List[float]] = []
     header_seen = False
@@ -139,7 +162,7 @@ def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("fps="):
-                fps = float(body[4:])
+                fps = _csv_number(path, line_no, body[4:])
             continue
         if not header_seen:
             names = line.split(",")
@@ -150,12 +173,16 @@ def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
         parts = line.split(",")
         if len(parts) != motion_core.FRAME_DIM:
             raise FormatError(f"{path}:{line_no}: expected {motion_core.FRAME_DIM} values")
-        rows.append([float(p) for p in parts])
+        rows.append([_csv_number(path, line_no, p) for p in parts])
     if not header_seen:
         raise FormatError(f"{path}: missing CSV header row")
     params = np.asarray(rows, dtype=np.float64).reshape(len(rows), motion_core.FRAME_DIM)
-    params = params.astype(np.float32).astype(np.float64)
-    return motion_core.MotionSequence(params, fps=np.float32(fps))
+    with np.errstate(over="ignore"):  # beyond f32 range becomes inf, rejected below
+        params, fps = params.astype(np.float32).astype(np.float64), np.float32(fps)
+    try:
+        return motion_core.MotionSequence(params, fps=fps)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +204,40 @@ def save_model(path: _PathLike, model: motion_core.BlendshapeModel) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def _json_array(value, what: str, integral: bool = False) -> np.ndarray:
+    """A JSON number or nested list of numbers (integers if ``integral``) as an array."""
+    arr = np.asarray(value)  # ragged nesting raises ValueError
+    if arr.size and arr.dtype.kind not in ("iu" if integral else "iuf"):
+        raise FormatError(f"{what} must hold only {'integers' if integral else 'numbers'}")
+    return arr.astype(np.intp if integral else np.float64)
+
+
 def load_model(path: _PathLike) -> motion_core.BlendshapeModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "facemotion-model":
         raise FormatError(f"{path}: not a facemotion model document")
     if doc.get("version") != 1:
         raise FormatError(f"{path}: unsupported model version {doc.get('version')}")
     try:
+        regions, landmarks = doc["regions"], doc["landmarks"]
+        if not isinstance(regions, dict) or not isinstance(landmarks, dict):
+            raise FormatError("regions and landmarks must be JSON objects")
+        for name, index in landmarks.items():
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise FormatError(f"landmark {name!r} must be an integer vertex index, got {index!r}")
         return motion_core.BlendshapeModel(
-            template=np.asarray(doc["template"], dtype=np.float64),
-            expr_basis=np.asarray(doc["expr_basis"], dtype=np.float64),
-            eyelid_basis=np.asarray(doc["eyelid_basis"], dtype=np.float64),
-            jaw_joint=np.asarray(doc["jaw_joint"], dtype=np.float64),
-            jaw_region=np.asarray(doc["jaw_region"], dtype=np.intp),
-            regions={k: np.asarray(v, dtype=np.intp) for k, v in doc["regions"].items()},
-            landmarks={k: int(v) for k, v in doc["landmarks"].items()},
+            template=_json_array(doc["template"], "template"),
+            expr_basis=_json_array(doc["expr_basis"], "expr_basis"),
+            eyelid_basis=_json_array(doc["eyelid_basis"], "eyelid_basis"),
+            jaw_joint=_json_array(doc["jaw_joint"], "jaw_joint"),
+            jaw_region=_json_array(doc["jaw_region"], "jaw_region", integral=True),
+            regions={k: _json_array(v, f"region {k!r}", integral=True) for k, v in regions.items()},
+            landmarks=landmarks,
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing model field {exc}") from exc
+    except (ValueError, FaceMotionError) as exc:  # includes the model's own shape, range and finiteness checks
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +348,7 @@ def save_event_log(path: _PathLike, log: streamsim.StreamEventLog) -> None:
 
 def load_event_log(path: _PathLike) -> streamsim.StreamEventLog:
     log = streamsim.StreamEventLog()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -349,10 +389,7 @@ def save_latency_report(path: _PathLike, report: streamsim.LatencyReport) -> Non
 
 
 def load_report(path: _PathLike) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "report" not in doc and "manifest" not in doc:
         raise FormatError(f"{path}: not a report document")
     return doc

@@ -23,9 +23,8 @@ selecting N' output vertices in the given order; the whole mesh is computed
 and the subset is gathered at the end, so callers keep only the rows they
 need. The result is batch-invariant and subset-invariant bit for bit: row i
 equals a 1-frame call on ``params[i]``, and a subset call equals the same
-columns of the full call. ``forward_vertices`` (one frame),
-``sequence_vertices`` (a list of frames) and ``sequence_vertex_array`` (a
-stacked array) are thin wrappers over it.
+columns of the full call. Motion is only ever a (T, 58) array and vertices
+a (T, N', 3) array; one frame is a 1-row call.
 """
 
 from __future__ import annotations
@@ -92,36 +91,6 @@ def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
     return rot.reshape(rvec.shape[:-1] + (3, 3))
 
 
-@dataclass(frozen=True)
-class FlameFrame:
-    """One 58-dimensional motion frame."""
-
-    expression: np.ndarray
-    jaw_pose: np.ndarray
-    global_pose: np.ndarray
-    eyelid: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "expression", _as_float_array(self.expression, (EXPRESSION_DIM,), "expression"))
-        object.__setattr__(self, "jaw_pose", _as_float_array(self.jaw_pose, (JAW_DIM,), "jaw_pose"))
-        object.__setattr__(self, "global_pose", _as_float_array(self.global_pose, (GLOBAL_DIM,), "global_pose"))
-        object.__setattr__(self, "eyelid", _as_float_array(self.eyelid, (EYELID_DIM,), "eyelid"))
-
-    @classmethod
-    def zero(cls) -> "FlameFrame":
-        return cls(np.zeros(EXPRESSION_DIM), np.zeros(JAW_DIM), np.zeros(GLOBAL_DIM), np.zeros(EYELID_DIM))
-
-    @classmethod
-    def from_vector(cls, vec) -> "FlameFrame":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (FRAME_DIM,):
-            raise IncompatibleShapeError(f"frame vector must have shape ({FRAME_DIM},), got {vec.shape}")
-        return cls(vec[EXPRESSION_SLICE], vec[JAW_SLICE], vec[GLOBAL_SLICE], vec[EYELID_SLICE])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.expression, self.jaw_pose, self.global_pose, self.eyelid])
-
-
 @dataclass
 class MotionSequence:
     """A timed sequence of motion frames, stored as a (T, 58) array."""
@@ -141,39 +110,12 @@ class MotionSequence:
         if not 0 < self.fps < np.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
 
-    @classmethod
-    def from_frames(cls, frames, fps: float = 25.0) -> "MotionSequence":
-        if len(frames) == 0:
-            return cls(np.zeros((0, FRAME_DIM)), fps)
-        return cls(np.stack([f.to_vector() for f in frames]), fps)
-
     def __len__(self) -> int:
         return self.params.shape[0]
 
     @property
     def duration_s(self) -> float:
         return len(self) / self.fps
-
-    def frame(self, i: int) -> FlameFrame:
-        return FlameFrame.from_vector(self.params[i])
-
-    def iter_frames(self):
-        for i in range(len(self)):
-            yield self.frame(i)
-
-
-@dataclass
-class VertexFrame:
-    """An N x 3 vertex snapshot in meters."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise IncompatibleShapeError(f"vertices must have shape (N, 3), got {self.vertices.shape}")
-        if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("vertices contain non-finite values")
 
 
 @dataclass
@@ -195,20 +137,13 @@ class BlendshapeModel:
     landmarks: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.template = np.asarray(self.template, dtype=np.float64)
-        if self.template.ndim != 2 or self.template.shape[1] != 3:
-            raise IncompatibleShapeError(f"template must have shape (N, 3), got {self.template.shape}")
-        n = self.template.shape[0]
-        self.expr_basis = np.asarray(self.expr_basis, dtype=np.float64)
-        if self.expr_basis.shape != (n, 3, EXPRESSION_DIM):
-            raise IncompatibleShapeError(
-                f"expr_basis must have shape ({n}, 3, {EXPRESSION_DIM}), got {self.expr_basis.shape}"
-            )
-        self.eyelid_basis = np.asarray(self.eyelid_basis, dtype=np.float64)
-        if self.eyelid_basis.shape != (n, 3, EYELID_DIM):
-            raise IncompatibleShapeError(
-                f"eyelid_basis must have shape ({n}, 3, {EYELID_DIM}), got {self.eyelid_basis.shape}"
-            )
+        shape = np.shape(self.template)
+        if len(shape) != 2 or shape[1] != 3:
+            raise IncompatibleShapeError(f"template must have shape (N, 3), got {shape}")
+        n = shape[0]
+        self.template = _as_float_array(self.template, (n, 3), "template")
+        self.expr_basis = _as_float_array(self.expr_basis, (n, 3, EXPRESSION_DIM), "expr_basis")
+        self.eyelid_basis = _as_float_array(self.eyelid_basis, (n, 3, EYELID_DIM), "eyelid_basis")
         self.jaw_joint = _as_float_array(self.jaw_joint, (3,), "jaw_joint")
         self.jaw_region = np.asarray(self.jaw_region, dtype=np.intp)
         self.regions = {k: np.asarray(v, dtype=np.intp) for k, v in self.regions.items()}
@@ -253,11 +188,11 @@ def forward_batch(
 ) -> np.ndarray:
     """Map (T, 58) frame parameters to a C-contiguous (T, N', 3) vertex array.
 
-    This is the package's only forward model; the per-frame and per-sequence
-    helpers below wrap it. Expression and eyelid blendshapes are added to the
-    template, the jaw region is rotated rigidly about the jaw hinge, then the
-    global pose rotates the whole mesh about the origin. ``zero_posed`` skips
-    the global rotation. ``vertices`` (1-D indices, any order, repeats
+    This is the package's only forward model. Expression and eyelid
+    blendshapes are added to the template, the jaw region is rotated rigidly
+    about the jaw hinge, then the global pose rotates the whole mesh about
+    the origin. ``zero_posed`` skips the global rotation, exactly as if the
+    global slice were zero. ``vertices`` (1-D indices, any order, repeats
     allowed) selects the N' returned vertices; by default all N are returned.
 
     Row i of the result is bit-identical to a 1-frame call on ``params[i]``,
@@ -303,20 +238,6 @@ def forward_batch(
     return v
 
 
-def forward_vertices(model: BlendshapeModel, frame: FlameFrame) -> VertexFrame:
-    """Map one frame to mesh vertices (a 1-frame ``forward_batch``)."""
-    return VertexFrame(forward_batch(model, frame.to_vector()[None])[0])
-
-
-def zero_pose(frame: FlameFrame) -> FlameFrame:
-    """Strip the global pose, keeping expression, jaw and eyelids.
-
-    The jaw is facial deformation, not head motion, so it is retained.
-    Idempotent by construction.
-    """
-    return FlameFrame(frame.expression, frame.jaw_pose, np.zeros(GLOBAL_DIM), frame.eyelid)
-
-
 def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:
     """Euclidean distance between vertices i and j of a (..., N, 3) array.
 
@@ -325,21 +246,6 @@ def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:
     """
     d = vertices[..., i, :] - vertices[..., j, :]
     return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
-
-
-def mouth_opening(model: BlendshapeModel, v: VertexFrame) -> float:
-    """Euclidean distance between the upper-lip and lower-lip landmarks."""
-    return float(landmark_distance(v.vertices, model.landmark("upper_lip"), model.landmark("lower_lip")))
-
-
-def mouth_width(model: BlendshapeModel, v: VertexFrame) -> float:
-    """Euclidean distance between the left and right lip-corner landmarks."""
-    return float(landmark_distance(v.vertices, model.landmark("left_corner"), model.landmark("right_corner")))
-
-
-def sequence_vertices(model: BlendshapeModel, m: MotionSequence, zero_posed: bool = False) -> List[VertexFrame]:
-    """Forward vertices for every frame, optionally in zero-pose space."""
-    return [VertexFrame(v) for v in forward_batch(model, m.params, zero_posed=zero_posed)]
 
 
 def sequence_vertex_array(model: BlendshapeModel, m: MotionSequence, zero_posed: bool = False) -> np.ndarray:

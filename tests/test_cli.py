@@ -255,6 +255,24 @@ def test_compare_surfaces_undefined_flags_without_failing(tmp_path):
     assert doc["undefined"]["static"]["temporal_corr"] == "zero variance"
 
 
+def test_compare_makes_colliding_candidate_names_unique(tmp_path):
+    out = gen(tmp_path, frames=50)
+    argv = []
+    for folder, stem in (("c1", "x_2"), ("c2", "x"), ("c3", "x")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / f"{stem}.a2mo"
+        path.write_bytes((out / "motion.a2mo").read_bytes())
+        argv += ["--candidate", path]
+    res = tmp_path / "cmp"
+    assert run("compare", "--out", res, "--model", out / "model.json", "--reference", out / "motion.a2mo", *argv) == 0
+    doc = json.loads((res / "comparison.json").read_text())
+    assert sorted(doc["candidates"]) == ["x", "x_2", "x_2_2"]
+    assert sorted(p.name for p in res.glob("metrics_*.json")) == ["metrics_x.json", "metrics_x_2.json",
+                                                                 "metrics_x_2_2.json"]
+    for ranking in doc["rankings"].values():
+        assert sorted(ranking) == ["x", "x_2", "x_2_2"]
+
+
 # ---------------------------------------------------------------------------
 # simulate-stream
 
@@ -429,3 +447,40 @@ def test_codebook_commands_do_not_echo_quantizer_settings_the_file_lacks(tmp_pat
         assert "quantizer" not in manifest["config"]
         assert manifest["inputs"]["codebook"] == str(cb_path)
 
+
+
+@pytest.mark.parametrize("command, required", [
+    ("encode", ["--codebook", "c", "--motion", "m"]),
+    ("decode", ["--codebook", "c", "--tokens", "t"]),
+    ("eval-recon", ["--model", "m", "--gt", "g", "--pred", "p"]),
+    ("eval-metrics", ["--model", "m", "--gt", "g", "--pred", "p"]),
+    ("compare", ["--model", "m", "--reference", "r", "--candidate", "c"]),
+])
+def test_seed_is_rejected_where_nothing_reads_it(capsys, command, required):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *required, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_malformed_text_inputs_exit_3(tmp_path, capsys):
+    data = gen(tmp_path)
+    doc = json.loads((data / "model.json").read_text())
+    doc["template"][5][0] = float("nan")  # outside the vertices the metrics render
+    nan_model = tmp_path / "nan_model.json"
+    nan_model.write_text(json.dumps(doc))
+    csv = tmp_path / "bad.csv"
+    fileio.save_motion_csv(csv, fileio.load_motion(data / "motion.a2mo"))
+    lines = csv.read_text().splitlines()
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"synth": {"seed": 1}}\xff')
+    gt = data / "motion.a2mo"
+    for argv, named in (
+        (["eval-metrics", "--model", nan_model, "--gt", gt, "--pred", gt], "template contains non-finite"),
+        (["eval-metrics", "--model", data / "model.json", "--gt", csv, "--pred", gt], "not a number: 'abc'"),
+        (["gen-data", "--config", cfg], "UTF-8"),
+    ):
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        assert named in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -97,8 +98,58 @@ def test_csv_rejects_wrong_header(tmp_path):
         fileio.load_motion_csv(path)
 
 
+def _valid_csv_lines(tmp_path):
+    path = tmp_path / "valid.csv"
+    fileio.save_motion_csv(path, MotionSequence(np.zeros((2, FRAME_DIM))))
+    return path.read_text().splitlines()
+
+
+def _set_cell(lines, row, value):
+    cells = lines[row].split(",")
+    cells[0] = value
+    lines[row] = ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: _set_cell(lines, 2, "abc"),
+        lambda lines: _set_cell(lines, 3, "nan"),
+        lambda lines: _set_cell(lines, 2, "-inf"),
+        lambda lines: _set_cell(lines, 2, "1e39"),  # finite in f64, beyond f32
+        lambda lines: lines.__setitem__(0, "# fps=abc"),
+        lambda lines: lines.__setitem__(0, "# fps=inf"),
+        lambda lines: lines.__setitem__(0, "# fps=0"),
+        lambda lines: lines.__setitem__(0, "# fps=1e39"),
+    ],
+    ids=["word", "nan", "-inf", "beyond-f32", "fps-word", "fps-inf", "fps-zero", "fps-beyond-f32"],
+)
+def test_csv_rejects_bad_values(tmp_path, edit):
+    lines = _valid_csv_lines(tmp_path)
+    edit(lines)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=str(path)):
+        fileio.load_motion_csv(path)
+
+
+@pytest.mark.parametrize("load", [fileio.load_motion_csv, fileio.load_model, fileio.load_event_log,
+                                  fileio.load_report])
+def test_text_loaders_reject_non_utf8(tmp_path, load):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# fps=25 \u00e9\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # model json
+
+
+def _valid_model_doc(tmp_path):
+    path = tmp_path / "valid_model.json"
+    fileio.save_model(path, synth.make_model(synth.SynthConfig(num_vertices=17)))
+    return json.loads(path.read_text())
 
 
 def test_model_round_trip(tmp_path, seed0_model):
@@ -125,6 +176,51 @@ def test_model_rejects_invalid_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("not json {")
     with pytest.raises(FormatError):
+        fileio.load_model(path)
+
+
+def test_model_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(FormatError, match="not valid JSON"):
+        fileio.load_model(path)
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (["regions"], [], "JSON objects"),
+        (["landmarks"], None, "JSON objects"),
+        (["landmarks", "upper_lip"], None, "upper_lip"),
+        (["landmarks", "upper_lip"], 1.0, "upper_lip"),
+        (["landmarks", "upper_lip"], True, "upper_lip"),
+        (["landmarks", "upper_lip"], 17, "out of range"),
+        (["template", 1], [0.0, 1.0], "inhomogeneous"),
+        (["template"], "abc", "numbers"),
+        (["template", 0, 0], "1.0", "numbers"),
+        (["template"], [0.0, 1.0, 2.0], "shape"),
+        (["template", 5, 0], float("nan"), "template contains non-finite"),
+        (["expr_basis", 5, 0, 0], float("inf"), "expr_basis contains non-finite"),
+        (["eyelid_basis", 0, 0, 0], float("-inf"), "eyelid_basis contains non-finite"),
+        (["jaw_joint"], {}, "numbers"),
+        (["jaw_region"], [0.5], "integers"),
+        (["jaw_region"], [2**70], "integers"),
+        (["regions", "lips"], [-1], "out of range"),
+        (["regions", "lips"], None, "integers"),
+    ],
+)
+def test_model_rejects_malformed_fields(tmp_path, keys, value, message):
+    doc = _valid_model_doc(tmp_path)
+    _set(doc, keys, value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # NaN and infinities as the NaN/Infinity literals json.loads accepts
+    with pytest.raises(FormatError, match=message):
         fileio.load_model(path)
 
 

@@ -110,12 +110,12 @@ def test_ufd_single_vertex_unit_growth_anchor():
 
 
 def test_ufd_matches_displacement_oracle(seed0_model, seed0_motion):
-    from facemotion.motion_core import FlameFrame, forward_vertices, sequence_vertex_array
+    from facemotion.motion_core import forward_batch, sequence_vertex_array
 
     m = MotionSequence(seed0_motion.params[:12], fps=25.0)
     got = metrics.ufd(seed0_model, m)
     idx = seed0_model.region("upper_face")
-    neutral = forward_vertices(seed0_model, FlameFrame.zero()).vertices[idx]
+    neutral = forward_batch(seed0_model, np.zeros((1, 58)))[0, idx]
     verts = sequence_vertex_array(seed0_model, m, zero_posed=True)[:, idx]
     disp = np.sqrt(((verts - neutral) ** 2).sum(axis=2))
     acc = 0.0

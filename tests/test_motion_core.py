@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from facemotion import metrics
 from facemotion import motion_core as mc
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
 
@@ -21,36 +22,58 @@ def tiny_model(template):
     )
 
 
-def random_frame(rng, scale=0.3):
-    return mc.FlameFrame.from_vector(rng.uniform(-scale, scale, size=58))
+def random_params(rng, t=1, scale=0.3):
+    return rng.uniform(-scale, scale, size=(t, 58))
+
+
+def one_frame(expression=0.0, jaw=0.0, global_pose=0.0, eyelid=0.0):
+    """A (1, 58) params array with the given slices, zero elsewhere."""
+    params = np.zeros((1, 58))
+    params[0, mc.EXPRESSION_SLICE] = expression
+    params[0, mc.JAW_SLICE] = jaw
+    params[0, mc.GLOBAL_SLICE] = global_pose
+    params[0, mc.EYELID_SLICE] = eyelid
+    return params
+
+
+def zero_global(params):
+    params = params.copy()
+    params[:, mc.GLOBAL_SLICE] = 0.0
+    return params
 
 
 # ---------------------------------------------------------------------------
 # frames and sequences
 
 
-def test_frame_vector_round_trip(rng):
-    vec = rng.standard_normal(58)
-    frame = mc.FlameFrame.from_vector(vec)
-    np.testing.assert_array_equal(frame.to_vector(), vec)
-    assert frame.expression.shape == (50,)
-    assert frame.jaw_pose.shape == (3,)
-    assert frame.global_pose.shape == (3,)
-    assert frame.eyelid.shape == (2,)
+def test_frame_vector_round_trip():
+    slices = [mc.EXPRESSION_SLICE, mc.JAW_SLICE, mc.GLOBAL_SLICE, mc.EYELID_SLICE]
+    covered = [i for s in slices for i in range(58)[s]]
+    assert covered == list(range(58))
+    assert [s.stop - s.start for s in slices] == [mc.EXPRESSION_DIM, mc.JAW_DIM, mc.GLOBAL_DIM, mc.EYELID_DIM]
+    names = np.array(mc.CHANNEL_NAMES)
+    assert all(n.startswith("exp_") for n in names[mc.EXPRESSION_SLICE])
+    assert list(names[mc.JAW_SLICE]) == ["jaw_rx", "jaw_ry", "jaw_rz"]
+    assert list(names[mc.GLOBAL_SLICE]) == ["global_rx", "global_ry", "global_rz"]
+    assert list(names[mc.EYELID_SLICE]) == ["eyelid_l", "eyelid_r"]
 
 
-def test_frame_dimensionality_is_58():
+def test_frame_dimensionality_is_58(seed0_model):
     assert mc.FRAME_DIM == 58
     assert len(mc.CHANNEL_NAMES) == 58
     with pytest.raises(IncompatibleShapeError):
-        mc.FlameFrame.from_vector(np.zeros(57))
+        mc.MotionSequence(np.zeros((1, 57)))
+    with pytest.raises(IncompatibleShapeError):
+        mc.forward_batch(seed0_model, np.zeros((1, 57)))
 
 
-def test_frame_rejects_non_finite():
-    vec = np.zeros(58)
-    vec[10] = np.nan
+def test_frame_rejects_non_finite(seed0_model):
+    params = np.zeros((1, 58))
+    params[0, 10] = np.nan
     with pytest.raises(ValueError):
-        mc.FlameFrame.from_vector(vec)
+        mc.MotionSequence(params)
+    with pytest.raises(ValueError):
+        mc.forward_batch(seed0_model, params)
 
 
 def test_sequence_validation(rng):
@@ -64,36 +87,34 @@ def test_sequence_validation(rng):
 
 
 def test_sequence_from_frames_round_trip(rng):
-    frames = [random_frame(rng) for _ in range(4)]
-    m = mc.MotionSequence.from_frames(frames, fps=30.0)
-    for i, f in enumerate(frames):
-        np.testing.assert_array_equal(m.frame(i).to_vector(), f.to_vector())
+    rows = [random_params(rng)[0] for _ in range(4)]
+    m = mc.MotionSequence(np.stack(rows), fps=30.0)
+    assert m.fps == 30.0
+    for i, row in enumerate(rows):
+        np.testing.assert_array_equal(m.params[i], row)
 
 
 # ---------------------------------------------------------------------------
-# forward_vertices
+# one frame: 1-row forward_batch
 
 
 def test_forward_zero_frame_is_template(seed0_model):
-    v = mc.forward_vertices(seed0_model, mc.FlameFrame.zero())
-    np.testing.assert_array_equal(v.vertices, seed0_model.template)
+    v = mc.forward_batch(seed0_model, np.zeros((1, 58)))[0]
+    np.testing.assert_array_equal(v, seed0_model.template)
 
 
 def test_forward_unit_expression_adds_basis_column(seed0_model):
     k = 7
-    frame = mc.FlameFrame.zero()
-    expr = frame.expression.copy()
-    expr[k] = 1.0
-    frame = mc.FlameFrame(expr, frame.jaw_pose, frame.global_pose, frame.eyelid)
-    v = mc.forward_vertices(seed0_model, frame)
+    params = np.zeros((1, 58))
+    params[0, k] = 1.0
+    v = mc.forward_batch(seed0_model, params)[0]
     np.testing.assert_allclose(
-        v.vertices, seed0_model.template + seed0_model.expr_basis[:, :, k], rtol=0, atol=1e-15
+        v, seed0_model.template + seed0_model.expr_basis[:, :, k], rtol=0, atol=1e-15
     )
 
 
 def test_forward_jaw_rotation_matches_rodrigues_oracle(seed0_model):
-    frame = mc.FlameFrame(np.zeros(50), np.array([0.1, 0.0, 0.0]), np.zeros(3), np.zeros(2))
-    got = mc.forward_vertices(seed0_model, frame).vertices
+    got = mc.forward_batch(seed0_model, one_frame(jaw=[0.1, 0.0, 0.0]))[0]
     expected = seed0_model.template.copy()
     idx = seed0_model.jaw_region
     expected[idx] = oracles.rotate_points(
@@ -107,36 +128,24 @@ def test_forward_jaw_rotation_matches_rodrigues_oracle(seed0_model):
 
 def test_forward_global_rotation_matches_oracle(seed0_model, rng):
     pose = np.array([0.2, -0.1, 0.3])
-    frame = mc.FlameFrame(np.zeros(50), np.zeros(3), pose, np.zeros(2))
-    got = mc.forward_vertices(seed0_model, frame).vertices
+    got = mc.forward_batch(seed0_model, one_frame(global_pose=pose))[0]
     expected = oracles.rotate_points(seed0_model.template, pose, np.zeros(3))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 def test_forward_linearity_in_expression_and_eyelid(seed0_model, rng):
     alpha = 0.3
-    f1, f2 = random_frame(rng), random_frame(rng)
-    blends = []
-    for f in (f1, f2):
-        blends.append(
-            mc.FlameFrame(f.expression, np.zeros(3), np.zeros(3), f.eyelid)
-        )
-    mixed = mc.FlameFrame(
-        alpha * f1.expression + (1 - alpha) * f2.expression,
-        np.zeros(3),
-        np.zeros(3),
-        alpha * f1.eyelid + (1 - alpha) * f2.eyelid,
-    )
-    va = mc.forward_vertices(seed0_model, blends[0]).vertices
-    vb = mc.forward_vertices(seed0_model, blends[1]).vertices
-    vm = mc.forward_vertices(seed0_model, mixed).vertices
+    blends = random_params(rng, 2)
+    blends[:, mc.JAW_SLICE] = 0.0
+    blends[:, mc.GLOBAL_SLICE] = 0.0
+    mixed = alpha * blends[0] + (1 - alpha) * blends[1]
+    va, vb, vm = (mc.forward_batch(seed0_model, row[None])[0] for row in (blends[0], blends[1], mixed))
     np.testing.assert_allclose(vm, alpha * va + (1 - alpha) * vb, rtol=1e-12, atol=1e-15)
 
 
 def test_jaw_rotation_preserves_pairwise_distances(seed0_model, rng):
-    frame = mc.FlameFrame(np.zeros(50), np.array([0.2, 0.05, -0.1]), np.zeros(3), np.zeros(2))
     before = seed0_model.template
-    after = mc.forward_vertices(seed0_model, frame).vertices
+    after = mc.forward_batch(seed0_model, one_frame(jaw=[0.2, 0.05, -0.1]))[0]
     idx = seed0_model.jaw_region
     pairs = rng.choice(idx, size=(40, 2))
     for i, j in pairs:
@@ -146,59 +155,61 @@ def test_jaw_rotation_preserves_pairwise_distances(seed0_model, rng):
 
 
 # ---------------------------------------------------------------------------
-# zero_pose
+# zero-pose space: zero_posed=True is the global slice zeroed, bit for bit
 
 
-def test_zero_pose_strips_global_only():
-    frame = mc.FlameFrame(np.full(50, 0.1), np.array([0.2, 0, 0]), np.array([0.3, 0, 0]), np.array([0.5, 0.5]))
-    z = mc.zero_pose(frame)
-    np.testing.assert_array_equal(z.global_pose, np.zeros(3))
-    np.testing.assert_array_equal(z.expression, frame.expression)
-    np.testing.assert_array_equal(z.jaw_pose, frame.jaw_pose)
-    np.testing.assert_array_equal(z.eyelid, frame.eyelid)
+def test_zero_pose_strips_global_only(seed0_model):
+    params = one_frame(expression=0.1, jaw=[0.2, 0, 0], global_pose=[0.3, 0, 0], eyelid=0.5)
+    zeroed = mc.forward_batch(seed0_model, params, zero_posed=True)
+    np.testing.assert_array_equal(zeroed, mc.forward_batch(seed0_model, zero_global(params)))
+    # the jaw is facial deformation and is kept
+    no_jaw = zero_global(params)
+    no_jaw[:, mc.JAW_SLICE] = 0.0
+    assert not np.array_equal(zeroed, mc.forward_batch(seed0_model, no_jaw))
 
 
-def test_zero_pose_idempotent(rng):
-    frame = random_frame(rng)
-    once = mc.zero_pose(frame)
-    twice = mc.zero_pose(once)
-    np.testing.assert_array_equal(once.to_vector(), twice.to_vector())
-    already = mc.FlameFrame(frame.expression, frame.jaw_pose, np.zeros(3), frame.eyelid)
-    np.testing.assert_array_equal(mc.zero_pose(already).to_vector(), already.to_vector())
+def test_zero_pose_idempotent(seed0_model, rng):
+    params = random_params(rng)
+    once = mc.forward_batch(seed0_model, params, zero_posed=True)
+    already = zero_global(params)
+    np.testing.assert_array_equal(mc.forward_batch(seed0_model, already, zero_posed=True), once)
+    np.testing.assert_array_equal(mc.forward_batch(seed0_model, already), once)
 
 
 # ---------------------------------------------------------------------------
 # mouth landmarks
 
 
+def static(t=1):
+    return mc.MotionSequence(np.zeros((t, 58)))
+
+
 def test_mouth_opening_simple_cases():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    v = mc.VertexFrame(model.template)
-    assert mc.mouth_opening(model, v) == 2.0
+    assert mc.landmark_distance(model.template, 0, 1) == 2.0
+    assert metrics.opening_series(model, static(2)).tolist() == [2.0, 2.0]
     coincident = tiny_model([[0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    assert mc.mouth_opening(coincident, mc.VertexFrame(coincident.template)) == 0.0
+    assert metrics.opening_series(coincident, static()).tolist() == [0.0]
 
 
 def test_mouth_width_simple_cases():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [-0.02, 0, 0], [0.03, 0, 0], [0, 2, 0]])
-    v = mc.VertexFrame(model.template)
-    assert mc.mouth_width(model, v) == pytest.approx(0.05, abs=1e-15)
+    assert metrics.width_series(model, static())[0] == pytest.approx(0.05, abs=1e-15)
     coincident = tiny_model([[0, 1, 0], [0, -1, 0], [0.1, 0, 0], [0.1, 0, 0], [0, 2, 0]])
-    assert mc.mouth_width(coincident, mc.VertexFrame(coincident.template)) == 0.0
+    assert metrics.width_series(coincident, static()).tolist() == [0.0]
 
 
 def test_mouth_metrics_match_landmark_oracle(seed0_model, rng):
-    v = mc.forward_vertices(seed0_model, mc.FlameFrame.zero())
-    assert mc.mouth_opening(seed0_model, v) == pytest.approx(
-        oracles.landmark_distance(v.vertices, seed0_model.landmark("upper_lip"), seed0_model.landmark("lower_lip")),
-        abs=1e-15,
+    lm = seed0_model.landmark
+    v = mc.forward_batch(seed0_model, np.zeros((1, 58)))[0]
+    assert mc.landmark_distance(v, lm("upper_lip"), lm("lower_lip")) == pytest.approx(
+        oracles.landmark_distance(v, lm("upper_lip"), lm("lower_lip")), abs=1e-15
     )
-    smile = np.zeros(58)
-    smile[:50] = rng.uniform(-0.2, 0.2, 50)
-    v2 = mc.forward_vertices(seed0_model, mc.FlameFrame.from_vector(smile))
-    assert mc.mouth_width(seed0_model, v2) == pytest.approx(
-        oracles.landmark_distance(v2.vertices, seed0_model.landmark("left_corner"), seed0_model.landmark("right_corner")),
-        abs=1e-15,
+    smile = np.zeros((1, 58))
+    smile[0, :50] = rng.uniform(-0.2, 0.2, 50)
+    v2 = mc.forward_batch(seed0_model, smile)[0]
+    assert mc.landmark_distance(v2, lm("left_corner"), lm("right_corner")) == pytest.approx(
+        oracles.landmark_distance(v2, lm("left_corner"), lm("right_corner")), abs=1e-15
     )
 
 
@@ -206,44 +217,40 @@ def test_missing_landmark_raises():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
     model.landmarks.pop("upper_lip")
     with pytest.raises(ModelConfigError):
-        mc.mouth_opening(model, mc.VertexFrame(model.template))
+        metrics.opening_series(model, static())
 
 
 def test_mouth_metrics_invariant_under_global_pose_when_zero_posed(seed0_model, rng):
-    frame = random_frame(rng)
-    posed = mc.MotionSequence.from_frames([frame])
-    o_posed = mc.mouth_opening(seed0_model, mc.sequence_vertices(seed0_model, posed, zero_posed=True)[0])
-    neutral = mc.FlameFrame(frame.expression, frame.jaw_pose, np.zeros(3), frame.eyelid)
-    o_neutral = mc.mouth_opening(seed0_model, mc.forward_vertices(seed0_model, neutral))
-    assert o_posed == o_neutral
+    params = random_params(rng)
+    o_posed = metrics.opening_series(seed0_model, mc.MotionSequence(params))[0]
+    neutral = mc.forward_batch(seed0_model, zero_global(params))[0]
+    lm = seed0_model.landmark
+    assert o_posed == mc.landmark_distance(neutral, lm("upper_lip"), lm("lower_lip"))
 
 
 # ---------------------------------------------------------------------------
-# sequence_vertices
+# T-row calls: row i equals a 1-row call
 
 
 def test_sequence_vertices_zero_motion_is_template(seed0_model):
-    m = mc.MotionSequence(np.zeros((3, 58)))
-    frames = mc.sequence_vertices(seed0_model, m)
-    assert len(frames) == 3
-    for vf in frames:
-        np.testing.assert_array_equal(vf.vertices, seed0_model.template)
+    verts = mc.sequence_vertex_array(seed0_model, static(3))
+    assert verts.shape == (3, seed0_model.num_vertices, 3)
+    for v in verts:
+        np.testing.assert_array_equal(v, seed0_model.template)
 
 
 def test_sequence_vertices_flag_matches_composition(seed0_model, rng):
-    frame = random_frame(rng)
-    m = mc.MotionSequence.from_frames([frame])
-    flagged = mc.sequence_vertices(seed0_model, m, zero_posed=True)[0]
-    composed = mc.forward_vertices(seed0_model, mc.zero_pose(frame))
-    np.testing.assert_array_equal(flagged.vertices, composed.vertices)
+    params = random_params(rng)
+    flagged = mc.sequence_vertex_array(seed0_model, mc.MotionSequence(params), zero_posed=True)
+    np.testing.assert_array_equal(flagged, mc.forward_batch(seed0_model, zero_global(params)))
 
 
 def test_sequence_vertices_matches_frame_by_frame_oracle(seed0_model, seed0_motion):
     sub = mc.MotionSequence(seed0_motion.params[:10], fps=seed0_motion.fps)
-    got = mc.sequence_vertices(seed0_model, sub)
+    got = mc.sequence_vertex_array(seed0_model, sub)
     for i in range(10):
-        expected = mc.forward_vertices(seed0_model, sub.frame(i))
-        np.testing.assert_array_equal(got[i].vertices, expected.vertices)
+        expected = mc.forward_batch(seed0_model, sub.params[i : i + 1])[0]
+        np.testing.assert_array_equal(got[i], expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property tests (hypothesis) for the batched forward model, peak picking,
-the nearest-codeword search and the binary loaders."""
+the nearest-codeword search and the binary and text loaders."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import metrics, rvq  # noqa: E402
+from facemotion import fileio, metrics, rvq  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 from facemotion.errors import FormatError  # noqa: E402
-from test_fileio import LOADERS, _valid_blob  # noqa: E402
+from test_fileio import LOADERS, _valid_blob, _valid_csv_lines, _valid_model_doc  # noqa: E402
 
 
 def _bits(a):
@@ -137,3 +139,63 @@ def test_corrupted_binary_files_load_or_raise_format_error(tmp_path_factory, kin
     except FormatError:
         return
     assert not must_fail
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _replace_in_model(doc, path, value):
+    # each step picks a key or an index modulo the container's size
+    parent, key = doc, sorted(doc)[path[0] % len(doc)]
+    for step in path[1:]:
+        node = parent[key]
+        if not node or not isinstance(node, (list, dict)):
+            break
+        parent, key = node, (step % len(node) if isinstance(node, list) else sorted(node)[step % len(node)])
+    parent[key] = value
+
+
+def _replace_in_csv(lines, path, value):
+    row = path[0] % len(lines)
+    cells = lines[row].split(",")
+    cells[path[-1] % len(cells)] = value if isinstance(value, str) else json.dumps(value)
+    lines[row] = ",".join(cells)
+
+
+@pytest.fixture(scope="session")
+def valid_text(tmp_path_factory):
+    base = tmp_path_factory.mktemp("valid_text")
+    return {"model": json.dumps(_valid_model_doc(base)), "csv": _valid_csv_lines(base)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["model", "csv"]),
+    edits=st.lists(st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), JSON_VALUES), max_size=2),
+    writes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
+    cut=st.integers(0, 10**6),
+)
+def test_corrupted_text_files_load_or_raise_format_error(tmp_path_factory, valid_text, kind, edits, writes, cut):
+    if kind == "model":
+        doc = json.loads(valid_text["model"])
+        for path, value in edits:
+            _replace_in_model(doc, path, value)
+        text, load = json.dumps(doc, indent=1), fileio.load_model
+    else:
+        lines = list(valid_text["csv"])
+        for path, value in edits:
+            _replace_in_csv(lines, path, value)
+        text, load = "\n".join(lines) + "\n", fileio.load_motion_csv
+    blob = bytearray(text.encode("utf-8"))
+    for offset, value in writes:
+        blob[offset % len(blob)] = value
+    path = tmp_path_factory.getbasetemp() / f"corrupt.{kind}"
+    path.write_bytes(bytes(blob[: len(blob) - cut % 9]))
+    try:
+        load(path)
+    except FormatError:
+        pass
