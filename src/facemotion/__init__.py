@@ -57,6 +57,5 @@ from .streamsim import (
     latency_report,
     run_stream,
     step,
-    weighted_total,
 )
 from .synth import SynthConfig, make_model, make_motion

@@ -141,8 +141,11 @@ def cmd_gen_data(args, config) -> int:
     if settings["duration_frames"] < 1:
         print(f"gen-data: --frames must be >= 1, got {settings['duration_frames']}", file=sys.stderr)
         return EXIT_USAGE
-    if settings["num_vertices"] < 10:
-        print(f"gen-data: --vertices must be >= 10, got {settings['num_vertices']}", file=sys.stderr)
+    if settings["num_vertices"] < synth.MIN_VERTICES:
+        print(
+            f"gen-data: --vertices must be >= {synth.MIN_VERTICES}, got {settings['num_vertices']}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     scfg = synth.SynthConfig(**settings)
     out = _out_dir(args)

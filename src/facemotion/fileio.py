@@ -205,10 +205,21 @@ def save_model(path: _PathLike, model: motion_core.BlendshapeModel) -> None:
 
 
 def _json_array(value, what: str, integral: bool = False) -> np.ndarray:
-    """A JSON number or nested list of numbers (integers if ``integral``) as an array."""
+    """A JSON number or nested list of numbers (integers if ``integral``) as an array.
+
+    true and false are not numbers, though numpy reads them as 1 and 0 among numbers.
+    """
+    kind = "integers" if integral else "numbers"
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            raise FormatError(f"{what} must hold only {kind}")
+        if isinstance(item, list):
+            stack.extend(item)
     arr = np.asarray(value)  # ragged nesting raises ValueError
     if arr.size and arr.dtype.kind not in ("iu" if integral else "iuf"):
-        raise FormatError(f"{what} must hold only {'integers' if integral else 'numbers'}")
+        raise FormatError(f"{what} must hold only {kind}")
     return arr.astype(np.intp if integral else np.float64)
 
 

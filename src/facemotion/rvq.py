@@ -356,26 +356,44 @@ def fit_codec(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> Tuple[W
     return proj, train_codebooks(latents, cfg)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _candidate_rngs(seed_key: Sequence[int]) -> List[np.random.Generator]:
+    """One independent generator per k-means++ candidate, keyed (*seed_key, r)."""
+    return [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([*seed_key, r])))
+        for r in range(_INIT_CANDIDATES)
+    ]
+
+
+def _kmeans_pp_init(points: np.ndarray, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeding of one candidate per generator, all run in lock-step.
+
+    Returns the (R, k) indices of the chosen points. Each step scores the R
+    new centers against every point with one (R, d) x (d, n) GEMM. A pick is
+    drawn the way Generator.choice(n, p=closest/total) draws it, without its
+    argument checks: the normalized cumulative sum is searched for one
+    uniform variate. Each generator thus makes the same draws as a serial
+    run of its own candidate.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+    picks = np.empty((len(rngs), k), dtype=np.int64)
     p2 = np.einsum("nd,nd->n", points, points)
 
-    def dist_to(i: int) -> np.ndarray:
-        return np.maximum(p2 - 2.0 * (points @ points[i]) + p2[i], 0.0)
+    def dist_to(idx: np.ndarray) -> np.ndarray:
+        return np.maximum(p2 - 2.0 * (points[idx] @ points.T) + p2[idx, None], 0.0)
 
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest = dist_to(first)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = dist_to(picks[:, 0])
     for j in range(1, k):
-        total = float(closest.sum())
-        if total <= 0.0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=closest / total))
-        centers[j] = points[pick]
-        np.minimum(closest, dist_to(pick), out=closest)
-    return centers
+        for r, rng in enumerate(rngs):
+            total = float(closest[r].sum())
+            if total <= 0.0:
+                picks[r, j] = rng.integers(n)
+            else:
+                cdf = np.cumsum(closest[r] / total)
+                cdf /= cdf[-1]
+                picks[r, j] = cdf.searchsorted(rng.random(), side="right")
+        np.minimum(closest, dist_to(picks[:, j]), out=closest)
+    return picks
 
 
 _MAX_ITERS = 200
@@ -447,15 +465,16 @@ def _ema_kmeans(
 ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
     """Seeded k-means++ with EMA Lloyd refinement.
 
-    Several independently seeded k-means++ candidates run a short pilot; the
-    one with the lowest pilot distortion continues to convergence (or the
-    iteration cap). Ties go to the lowest candidate index, so the result is
-    deterministic for a given seed.
+    Several k-means++ candidates, each drawn from its own seeded generator
+    and all seeded in lock-step, run a short pilot; the one with the lowest
+    pilot distortion continues to convergence (or the iteration cap). Ties
+    go to the lowest candidate index, so the result is deterministic for a
+    given seed.
     """
+    init = _kmeans_pp_init(points, k, _candidate_rngs(seed_key))
     best = None
     for r in range(_INIT_CANDIDATES):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([*seed_key, r])))
-        state = _EmaState(_kmeans_pp_init(points, k, rng))
+        state = _EmaState(points[init[r]])
         history: List[float] = []
         done = _ema_iterate(points, state, cfg, _PILOT_ITERS, history)
         if best is None or (history[-1], r) < best[0]:

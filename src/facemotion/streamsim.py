@@ -425,10 +425,3 @@ def hierarchical_ce(pred_dists: np.ndarray, targets: TokenSequence) -> float:
     if np.any(p == 0.0):
         return float("inf")
     return float(np.sum(np.mean(-np.log(p), axis=0)))
-
-
-def weighted_total(l_motion: float, lam: float) -> float:
-    """The motion term's contribution to the joint objective."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    return lam * l_motion

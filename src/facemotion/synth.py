@@ -42,6 +42,10 @@ _BLINK_AMPLITUDE = 0.9
 _EYELID_VERTEX_DISP = 0.005
 
 
+# The expression basis is the Q of a (3N, EXPRESSION_DIM) QR, so 3N >= EXPRESSION_DIM.
+MIN_VERTICES = -(-EXPRESSION_DIM // 3)
+
+
 @dataclass
 class SynthConfig:
     """Knobs for the synthetic model and motion generators."""
@@ -55,8 +59,8 @@ class SynthConfig:
     noise_std: float = 0.002
 
     def __post_init__(self):
-        if self.num_vertices < 10:
-            raise ValueError(f"num_vertices must be >= 10, got {self.num_vertices}")
+        if self.num_vertices < MIN_VERTICES:
+            raise ValueError(f"num_vertices must be >= {MIN_VERTICES}, got {self.num_vertices}")
         if self.duration_frames < 1:
             raise ValueError(f"duration_frames must be >= 1, got {self.duration_frames}")
         if not self.fps > 0:

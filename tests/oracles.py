@@ -80,6 +80,45 @@ def gather_sum(indices: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     return out
 
 
+def kmeans_pp_serial(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of one candidate on its own: one GEMV per step and a
+    Generator.choice draw per distance-weighted pick. Returns the k chosen
+    point indices."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    picks = np.empty(k, dtype=np.int64)
+    p2 = np.einsum("nd,nd->n", points, points)
+
+    def dist_to(i):
+        return np.maximum(p2 - 2.0 * (points @ points[i]) + p2[i], 0.0)
+
+    picks[0] = rng.integers(n)
+    closest = dist_to(picks[0])
+    for j in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            picks[j] = rng.integers(n)
+        else:
+            picks[j] = rng.choice(n, p=closest / total)
+        np.minimum(closest, dist_to(picks[j]), out=closest)
+    return picks
+
+
+def seeded_generators(seed_key: Sequence[int], count: int) -> List[np.random.Generator]:
+    """Generator r of count keyed SeedSequence([*seed_key, r])."""
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence([*seed_key, r]))) for r in range(count)]
+
+
+class CoarseGenerator(np.random.Generator):
+    """Rounds each uniform draw down to a multiple of 1/8, one draw consumed
+    per call as before, so that draws land on cumulative-probability
+    boundaries (0 among them) where searching from the left or the right
+    gives different picks. Generator.choice draws through this method too."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 8.0) / 8.0
+
+
 def lloyd_best_of(points: np.ndarray, k: int, restarts: int, seed: int, iters: int = 300) -> float:
     """Best final distortion over plain-Lloyd restarts with random init."""
     points = np.asarray(points, dtype=np.float64)

@@ -55,6 +55,15 @@ def test_gen_data_zero_frames_is_usage_error(tmp_path):
     assert not (out / "motion.a2mo").exists()
 
 
+def test_gen_data_vertex_minimum(tmp_path, capsys):
+    assert run("gen-data", "--out", tmp_path / "16", "--frames", 5, "--vertices", 16) == 2
+    assert "--vertices must be >= 17, got 16" in capsys.readouterr().err
+    assert not (tmp_path / "16" / "model.json").exists()
+    out = tmp_path / "17"
+    assert run("gen-data", "--out", out, "--frames", 5, "--vertices", 17) == 0
+    assert fileio.load_model(out / "model.json").num_vertices == 17
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

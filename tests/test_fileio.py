@@ -213,6 +213,8 @@ def _set(doc, keys, value):
         (["jaw_region"], [2**70], "integers"),
         (["regions", "lips"], [-1], "out of range"),
         (["regions", "lips"], None, "integers"),
+        (["template", 0, 0], True, "numbers"),
+        (["jaw_region"], [True, 1], "integers"),
     ],
 )
 def test_model_rejects_malformed_fields(tmp_path, keys, value, message):

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) for the batched forward model, peak picking,
-the nearest-codeword search and the binary and text loaders."""
+the nearest-codeword search, k-means++ seeding and the binary and text
+loaders."""
 
 import json
 
@@ -116,6 +117,39 @@ def test_nearest_codeword_equals_explicit_difference_scan(n, k, d, seed, spread)
     idx, dist = rvq._nearest_indices(points, codewords)
     assert idx.tolist() == np.argmin(d2, axis=1).tolist()
     assert _bits(dist) == _bits(d2[np.arange(n), idx])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 16),
+    d=st.integers(1, 4),
+    spread=st.integers(0, 3),
+    copies=st.integers(0, 8),
+    key=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 5)),
+    coarse=st.booleans(),
+)
+@example(n=1, k=4, d=2, spread=2, copies=0, key=(0, 0), coarse=False)
+@example(n=5, k=1, d=2, spread=2, copies=0, key=(0, 0), coarse=True)
+@example(n=3, k=8, d=2, spread=1, copies=2, key=(1, 2), coarse=True)
+@example(n=4, k=6, d=3, spread=0, copies=0, key=(7, 1), coarse=False)
+def test_kmeans_pp_lock_step_matches_serial_oracle(n, k, d, spread, copies, key, coarse):
+    # small-integer grids make every distance exact; spread 0 and duplicate
+    # points leave all remaining distances zero (total <= 0), n + copies < k
+    # runs out of distinct points; coarse draws hit cdf boundaries, 0 included
+    rng = np.random.default_rng(key)
+    points = rng.integers(-spread, spread + 1, size=(n, d)).astype(np.float64)
+    points = np.vstack([points, points[rng.integers(0, n, size=copies)]])[rng.permutation(n + copies)]
+    lock = rvq._candidate_rngs(key)
+    serial = oracles.seeded_generators(key, len(lock))
+    if coarse:
+        lock = [oracles.CoarseGenerator(g.bit_generator) for g in lock]
+        serial = [oracles.CoarseGenerator(g.bit_generator) for g in serial]
+    picks = rvq._kmeans_pp_init(points, k, lock)
+    assert picks.dtype == np.int64 and picks.shape == (len(lock), k)
+    for r, (a, b) in enumerate(zip(lock, serial)):
+        assert picks[r].tolist() == oracles.kmeans_pp_serial(points, k, b).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)

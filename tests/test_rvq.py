@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from facemotion import rvq
+from facemotion import rvq, synth
 from facemotion.errors import IncompatibleShapeError
 from facemotion.motion_core import FRAME_DIM, MotionSequence
 
@@ -331,6 +331,21 @@ def test_train_quality_vs_multi_restart_lloyd_oracle(rng):
     distortion = float(best.mean())
     oracle_best = oracles.lloyd_best_of(pts, 4, restarts=50, seed=123)
     assert distortion <= 1.05 * oracle_best
+
+
+def test_kmeans_pp_lock_step_matches_serial_oracle_on_codec_latents():
+    # real-valued latents: the lock-step GEMM and the oracle's GEMVs round
+    # independently, and the picks must still agree
+    motion = synth.make_motion(synth.SynthConfig(seed=1, duration_frames=1000))
+    cfg = rvq.QuantizerConfig()
+    proj = rvq.fit_projections([motion], cfg)
+    latents = rvq.shifted_windows([motion], cfg) @ proj.encode_w.T + proj.encode_b
+    lock = rvq._candidate_rngs((cfg.seed, 0))
+    picks = rvq._kmeans_pp_init(latents, cfg.codebook_size, lock)
+    serial = oracles.seeded_generators((cfg.seed, 0), len(lock))
+    for r in range(len(lock)):
+        expected = oracles.kmeans_pp_serial(latents, cfg.codebook_size, serial[r])
+        assert picks[r].tolist() == expected.tolist(), f"candidate {r}"
 
 
 def test_train_rejects_empty_batch():

@@ -324,14 +324,3 @@ def test_hierarchical_ce_zero_probability_is_inf():
     dists = np.array([[[0.0, 1.0]]])
     assert streamsim.hierarchical_ce(dists, targets) == math.inf
 
-
-# ---------------------------------------------------------------------------
-# weighted total
-
-
-def test_weighted_total():
-    assert streamsim.weighted_total(33.271, 0.0) == 0.0
-    assert streamsim.weighted_total(33.271, 1.0) == 33.271
-    assert streamsim.weighted_total(10.0, 0.5) == 5.0
-    with pytest.raises(ValueError):
-        streamsim.weighted_total(1.0, -0.1)

@@ -89,7 +89,17 @@ def test_all_58_channels_exercised():
 def test_config_validation():
     with pytest.raises(ValueError):
         synth.SynthConfig(num_vertices=9)
+    with pytest.raises(ValueError, match=">= 17"):
+        synth.SynthConfig(num_vertices=16)
     with pytest.raises(ValueError):
         synth.SynthConfig(duration_frames=0)
     with pytest.raises(ValueError):
         synth.SynthConfig(fps=0)
+
+
+def test_smallest_model_has_an_orthonormal_expression_basis():
+    # 3N >= 50 rows are needed for the QR of the (3N, 50) expression basis
+    model = synth.make_model(synth.SynthConfig(num_vertices=synth.MIN_VERTICES))
+    assert synth.MIN_VERTICES == 17
+    flat = model.expr_basis.reshape(-1, model.expr_basis.shape[2])
+    np.testing.assert_allclose(flat.T @ flat, np.eye(flat.shape[1]), atol=1e-12)
