@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -124,12 +125,23 @@ def _add_common(parser):
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_settings(parser, section, **renamed):
     """One option per key of a config section, named --key-with-dashes unless
-    renamed gives its flag."""
+    renamed gives its flag; float options take finite numbers only."""
     for key, (typ, default) in CONFIG_SECTIONS[section].items():
         flag = renamed.get(key, "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, type=typ, help=f"{section}.{key} (default {default})")
+        parser.add_argument(flag, dest=key, type=_finite_float if typ is float else typ,
+                            help=f"{section}.{key} (default {default})")
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +275,14 @@ def cmd_eval_recon(args, config) -> int:
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
     pred = _load_motion_any(args.pred)
-    z = q = None
+    quantizer = {}
     if args.codebook is not None:
         cb, proj, qcfg = fileio.load_codebook(args.codebook)
         z = rvq.window_encode(gt, proj, qcfg)
         tokens, _ = rvq.rvq_encode(z, cb, group_size=qcfg.group_size)
         q = rvq.rvq_decode(tokens, cb, fps_latent=z.fps_latent)
-    report = losses.total_losses(model, gt, pred, z=z, q=q, weights=weights)
+        quantizer = {"z": z, "q": q, "gamma": qcfg.gamma}
+    report = losses.total_losses(model, gt, pred, weights=weights, **quantizer)
     out = _out_dir(args)
     report_path = out / "loss_report.json"
     fileio.save_loss_report(report_path, report)
@@ -364,7 +377,7 @@ def cmd_compare(args, config) -> int:
         "rankings": rankings,
     }
     cmp_path = out / "comparison.json"
-    Path(cmp_path).write_text(json.dumps(comparison, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    fileio.write_json(cmp_path, comparison)
     fileio.save_manifest(
         out / "compare.manifest.json",
         command="compare",

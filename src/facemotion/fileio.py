@@ -383,20 +383,21 @@ def load_event_log(path: _PathLike) -> streamsim.StreamEventLog:
 # Reports and manifests (structured JSON text)
 
 
-def _write_json(path: _PathLike, doc: dict) -> None:
+def write_json(path: _PathLike, doc: dict) -> None:
+    """Write a JSON document with sorted keys, 2-space indent and a trailing newline."""
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def save_loss_report(path: _PathLike, report: losses.LossReport) -> None:
-    _write_json(path, {"report": "loss", **report.to_dict()})
+    write_json(path, {"report": "loss", **report.to_dict()})
 
 
 def save_metrics_report(path: _PathLike, report: metrics.MetricsReport) -> None:
-    _write_json(path, {"report": "metrics", **report.to_dict()})
+    write_json(path, {"report": "metrics", **report.to_dict()})
 
 
 def save_latency_report(path: _PathLike, report: streamsim.LatencyReport) -> None:
-    _write_json(path, {"report": "latency", **report.to_dict()})
+    write_json(path, {"report": "latency", **report.to_dict()})
 
 
 def load_report(path: _PathLike) -> dict:
@@ -426,7 +427,7 @@ def save_manifest(
     }
     if results is not None:
         doc["results"] = results
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def _tool_version() -> str:

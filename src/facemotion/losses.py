@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IncompatibleShapeError
 from .motion_core import BlendshapeModel, MotionSequence, sequence_vertex_array
-from .rvq import LatentSequence, commitment_loss
+from .rvq import LatentSequence, QuantizerConfig, commitment_loss
 
 REDUCTION = "mean_over_frames_and_dims"
 
@@ -33,12 +33,11 @@ class LossWeights:
     w_param: float = 1.0
     w_geo: float = 1e5
     w_dyn: float = 1e2
-    gamma: float = 0.25
     lambda_vq: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_param", "w_geo", "w_dyn", "gamma", "lambda_vq"):
-            if getattr(self, name) < 0:
+        for name in ("w_param", "w_geo", "w_dyn", "lambda_vq"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_dict(self) -> Dict[str, float]:
@@ -143,11 +142,13 @@ def total_losses(
     z: Optional[LatentSequence] = None,
     q: Optional[LatentSequence] = None,
     weights: Optional[LossWeights] = None,
+    gamma: float = QuantizerConfig.gamma,
 ) -> LossReport:
     """Itemized loss report; z/q omitted means the quantizer terms are zero.
 
     Each sequence is rendered once; the geo and dyn terms share the arrays.
-    The quantizer terms enter l_vqvae scaled by ``lambda_vq``.
+    The quantizer terms enter l_vqvae scaled by ``lambda_vq``; ``gamma``
+    is the codec's commitment weight (``QuantizerConfig.gamma``).
     """
     w = weights or LossWeights()
     _check_pair(m, m_hat, min_len=3)
@@ -159,7 +160,7 @@ def total_losses(
     if z is None or q is None:
         codebook_term, commit_term = 0.0, 0.0
     else:
-        codebook_term, commit_term, _ = commitment_loss(z, q, w.gamma)
+        codebook_term, commit_term, _ = commitment_loss(z, q, gamma)
     return LossReport(
         l_param=l_param,
         l_lips=l_lips,

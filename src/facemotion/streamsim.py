@@ -5,14 +5,12 @@ a predictor sees only the downsampled features of that segment and the
 tokens of the immediately preceding segment (Markov history of exactly one
 segment), emits one segment of hierarchical tokens, and the codec decodes
 them to motion. Latency metrics are derived from a timestamped event log,
-never from wall clocks, so they are deterministic under test; a wall-clock
-adapter exists for live runs.
+never from wall clocks, so they are deterministic under test.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import IncompatibleShapeError, StreamProtocolError
 from .motion_core import MotionSequence
-from .rvq import Codebook, LatentSequence, QuantizerConfig, TokenSequence, WindowProjection, rvq_decode, window_decode
+from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, rvq_decode, window_decode
 
 EVENT_KINDS = (
     "input_end",
@@ -58,13 +56,9 @@ class AudioFeatureSequence:
         return self.features.shape[0]
 
 
-def downsample_features(
-    h: AudioFeatureSequence,
-    group_size: int,
-    affine: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> AudioFeatureSequence:
-    """Mean-pool feature rows in groups of group_size, then apply an optional
-    affine map; the final group is padded by repeating the last row."""
+def downsample_features(h: AudioFeatureSequence, group_size: int) -> AudioFeatureSequence:
+    """Mean-pool feature rows in groups of group_size; the final group is
+    padded by repeating the last row."""
     if len(h) < 1:
         raise ValueError("cannot downsample an empty feature sequence")
     t = len(h)
@@ -74,9 +68,6 @@ def downsample_features(
     if pad:
         feats = np.concatenate([feats, np.repeat(feats[-1:], pad, axis=0)])
     pooled = feats.reshape(n_groups, group_size, -1).mean(axis=1)
-    if affine is not None:
-        w, b = affine
-        pooled = pooled @ np.asarray(w, dtype=np.float64).T + np.asarray(b, dtype=np.float64)
     return AudioFeatureSequence(pooled, fps=h.fps / group_size)
 
 
@@ -110,31 +101,22 @@ class SegmentState:
 
     history_tokens: Optional[np.ndarray]  # (n, N_q) or None at stream start
     segment_index: int
-    group_size: int
-    num_levels: int
-    codebook_size: int
+    cfg: QuantizerConfig  # the codec's
     segment_tokens: int
 
     def __post_init__(self):
         if self.history_tokens is not None:
             self.history_tokens = np.asarray(self.history_tokens, dtype=np.int64)
-            if self.history_tokens.ndim != 2 or self.history_tokens.shape[1] != self.num_levels:
+            if self.history_tokens.ndim != 2 or self.history_tokens.shape[1] != self.cfg.num_levels:
                 raise IncompatibleShapeError("history token grid does not match num_levels")
             if self.history_tokens.size and (
-                self.history_tokens.min() < 0 or self.history_tokens.max() >= self.codebook_size
+                self.history_tokens.min() < 0 or self.history_tokens.max() >= self.cfg.codebook_size
             ):
                 raise ValueError("history token indices out of range")
 
 
 def initial_state(cfg: QuantizerConfig, segment_tokens: int = SEGMENT_TOKENS) -> SegmentState:
-    return SegmentState(
-        history_tokens=None,
-        segment_index=0,
-        group_size=cfg.group_size,
-        num_levels=cfg.num_levels,
-        codebook_size=cfg.codebook_size,
-        segment_tokens=segment_tokens,
-    )
+    return SegmentState(history_tokens=None, segment_index=0, cfg=cfg, segment_tokens=segment_tokens)
 
 
 def _tile_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -144,14 +126,12 @@ def _tile_rows(rows: np.ndarray, n: int) -> np.ndarray:
 def _predict_segment(
     state: SegmentState, pooled: AudioFeatureSequence, predictor: PredictorSpec, n_tokens: int
 ) -> np.ndarray:
-    n_q = state.num_levels
+    n_q = state.cfg.num_levels
     if predictor.kind == "hold_last":
         if state.history_tokens is None or state.history_tokens.shape[0] == 0:
             return np.zeros((n_tokens, n_q), dtype=np.int64)
         return _tile_rows(state.history_tokens, n_tokens)
     if predictor.kind == "oracle":
-        if predictor.gt_tokens is None:
-            raise StreamProtocolError("oracle predictor requires gt_tokens")
         start = state.segment_index * state.segment_tokens
         rows = predictor.gt_tokens.indices[start : start + n_tokens]
         if rows.shape[0] < n_tokens:
@@ -160,15 +140,13 @@ def _predict_segment(
             )
         return rows
     if predictor.kind == "retrieval":
-        if not predictor.corpus:
-            raise StreamProtocolError("retrieval predictor requires a nonempty corpus")
         key = pooled.features.mean(axis=0)
         dists = [float(np.sum((np.asarray(k, dtype=np.float64) - key) ** 2)) for k, _ in predictor.corpus]
         best = int(np.argmin(dists))  # ties resolve to the lowest corpus index
         return _tile_rows(np.asarray(predictor.corpus[best][1], dtype=np.int64), n_tokens)
     # uniform
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([predictor.seed, state.segment_index])))
-    return rng.integers(0, state.codebook_size, size=(n_tokens, n_q), dtype=np.int64)
+    return rng.integers(0, state.cfg.codebook_size, size=(n_tokens, n_q), dtype=np.int64)
 
 
 def step(
@@ -179,33 +157,19 @@ def step(
     proj: WindowProjection,
 ) -> Tuple[TokenSequence, MotionSequence, SegmentState]:
     """Run one segment: predict tokens from (features, history), decode motion."""
-    if cb.num_levels != state.num_levels or cb.codebook_size != state.codebook_size:
+    cfg = state.cfg
+    if cb.num_levels != cfg.num_levels or cb.codebook_size != cfg.codebook_size:
         raise IncompatibleShapeError("segment state does not match codebook configuration")
     if len(segment_features) == 0:
         raise ValueError("segment has no feature frames")
-    g = state.group_size
+    g = cfg.group_size
     n_tokens = math.ceil(len(segment_features) / g)
     pooled = downsample_features(segment_features, g)
     indices = _predict_segment(state, pooled, predictor, n_tokens)
-    tokens = TokenSequence(
-        indices, group_size=g, num_levels=state.num_levels, codebook_size=state.codebook_size
-    )
-    cfg = QuantizerConfig(
-        group_size=g,
-        num_levels=state.num_levels,
-        codebook_size=state.codebook_size,
-        latent_dim=cb.latent_dim,
-    )
+    tokens = TokenSequence(indices, group_size=g, num_levels=cfg.num_levels, codebook_size=cfg.codebook_size)
     latents = rvq_decode(tokens, cb, fps_latent=segment_features.fps / g)
     motion = window_decode(latents, proj, cfg, original_t=n_tokens * g)
-    new_state = SegmentState(
-        history_tokens=indices,
-        segment_index=state.segment_index + 1,
-        group_size=g,
-        num_levels=state.num_levels,
-        codebook_size=state.codebook_size,
-        segment_tokens=state.segment_tokens,
-    )
+    new_state = SegmentState(indices, state.segment_index + 1, cfg, state.segment_tokens)
     return tokens, motion, new_state
 
 
@@ -219,6 +183,8 @@ class StreamEvent:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind '{self.kind}'")
         self.timestamp_ms = float(self.timestamp_ms)
+        if not math.isfinite(self.timestamp_ms):
+            raise ValueError(f"event timestamp must be finite, got {self.timestamp_ms}")
 
 
 @dataclass
@@ -229,7 +195,7 @@ class StreamEventLog:
         event = StreamEvent(timestamp_ms, kind, payload)
         if self.events and event.timestamp_ms < self.events[-1].timestamp_ms:
             raise StreamProtocolError("event timestamps must be nondecreasing")
-        if kind != "input_end" and not any(e.kind == "input_end" for e in self.events):
+        if not self.events and kind != "input_end":
             raise StreamProtocolError("input_end must precede all generation events")
         self.events.append(event)
 
@@ -276,8 +242,8 @@ def latency_report(log: StreamEventLog) -> LatencyReport:
     for item in done.payload.split():
         if item.startswith("content_ms="):
             content_ms = float(item.split("=", 1)[1])
-    if content_ms is None or content_ms <= 0:
-        raise StreamProtocolError("stream_done payload must carry content_ms=<positive value>")
+    if content_ms is None or not 0 < content_ms < math.inf:
+        raise StreamProtocolError("stream_done payload must carry content_ms=<positive finite value>")
     generation_ms = done.timestamp_ms - start.timestamp_ms
     if generation_ms <= 0:
         raise StreamProtocolError("stream_done must come strictly after input_end")
@@ -301,30 +267,6 @@ class TimingModel:
     segment_ms: float = 100.0
 
 
-class ManualClock:
-    """Simulated clock advanced explicitly by the stream loop."""
-
-    def __init__(self, start_ms: float = 0.0):
-        self.now_ms = float(start_ms)
-
-    def advance(self, delta_ms: float) -> None:
-        self.now_ms += float(delta_ms)
-
-
-class WallClock:
-    """Live clock for benchmarking; advance() is a no-op, time simply passes."""
-
-    def __init__(self):
-        self._origin = time.perf_counter()
-
-    @property
-    def now_ms(self) -> float:
-        return (time.perf_counter() - self._origin) * 1000.0
-
-    def advance(self, delta_ms: float) -> None:
-        pass
-
-
 def _segment_chunks(
     features: AudioFeatureSequence, cfg: QuantizerConfig, segment_tokens: int
 ) -> List[AudioFeatureSequence]:
@@ -346,40 +288,40 @@ def run_stream(
     cfg: QuantizerConfig,
     segment_tokens: int = SEGMENT_TOKENS,
     timing: Optional[TimingModel] = None,
-    clock=None,
 ) -> Tuple[TokenSequence, MotionSequence, StreamEventLog]:
     """Drive the full segment loop over a feature sequence.
 
     Emits input_end, first_text_token, first_audio_token, per-segment
     first_motion_frame/segment_done events and a final stream_done whose
-    payload records the synthesized content duration.
+    payload records the synthesized content duration. Timestamps are the
+    running sums of the timing model's delays from 0 ms.
     """
     chunks = _segment_chunks(features, cfg, segment_tokens)
     timing = timing or TimingModel()
-    clock = clock if clock is not None else ManualClock()
     log = StreamEventLog()
-    log.append(clock.now_ms, "input_end")
-    clock.advance(timing.text_token_ms)
-    log.append(clock.now_ms, "first_text_token")
-    clock.advance(timing.audio_token_ms)
-    log.append(clock.now_ms, "first_audio_token")
+    now_ms = 0.0
+    log.append(now_ms, "input_end")
+    now_ms += timing.text_token_ms
+    log.append(now_ms, "first_text_token")
+    now_ms += timing.audio_token_ms
+    log.append(now_ms, "first_audio_token")
 
     state = initial_state(cfg, segment_tokens)
     token_chunks: List[np.ndarray] = []
     motion_chunks: List[np.ndarray] = []
     for s, chunk in enumerate(chunks):
         tokens, motion, state = step(state, chunk, predictor, cb, proj)
-        clock.advance(timing.segment_ms)
+        now_ms += timing.segment_ms
         if s == 0:
-            log.append(clock.now_ms, "first_motion_frame")
-        log.append(clock.now_ms, "segment_done", f"segment={s}")
+            log.append(now_ms, "first_motion_frame")
+        log.append(now_ms, "segment_done", f"segment={s}")
         token_chunks.append(tokens.indices)
         motion_chunks.append(motion.params)
 
     all_indices = np.vstack(token_chunks)
     all_params = np.vstack(motion_chunks)[: len(features)]
     content_ms = len(features) / features.fps * 1000.0
-    log.append(clock.now_ms, "stream_done", f"content_ms={content_ms!r}")
+    log.append(now_ms, "stream_done", f"content_ms={content_ms!r}")
     all_tokens = TokenSequence(
         all_indices, group_size=cfg.group_size, num_levels=cfg.num_levels, codebook_size=cfg.codebook_size
     )

@@ -67,6 +67,8 @@ class SynthConfig:
             raise ValueError(f"fps must be positive, got {self.fps}")
         if self.speech_rate_hz <= 0:
             raise ValueError(f"speech_rate_hz must be positive, got {self.speech_rate_hz}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def rng(self, stream: int) -> np.random.Generator:
         """Independent PCG64 stream for one generator stage."""

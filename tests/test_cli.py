@@ -184,6 +184,29 @@ def test_eval_recon_includes_quantizer_diagnostics(tmp_path):
     )
 
 
+def test_fit_codec_and_eval_recon_use_the_codebook_gamma(tmp_path):
+    out = gen(tmp_path, frames=10)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quantizer": {"gamma": 0.5}}))
+    cb_path = fit(tmp_path, out / "motion.a2mo", codebook_size=2, latent_dim=8, config=cfg)
+    fitted = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())["results"]
+    res = tmp_path / "recon"
+    assert run("eval-recon", "--out", res, "--config", cfg, "--model", out / "model.json",
+               "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo", "--codebook", cb_path) == 0
+    doc = fileio.load_report(res / "loss_report.json")
+    for values in (fitted, doc["values"]):
+        assert values["codebook_term"] > 0.0
+        assert values["commit_term"] == 0.5 * values["codebook_term"]
+    assert "gamma" not in doc["weights"]
+
+
+def test_eval_recon_has_no_gamma_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval-recon", "--model", "m", "--gt", "g", "--pred", "p", "--gamma", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma 0.5" in capsys.readouterr().err
+
+
 def test_eval_recon_length_mismatch_exits_4(tmp_path):
     out = gen(tmp_path, frames=20)
     short = gen(tmp_path, "short", frames=10)
@@ -382,6 +405,7 @@ def test_simulate_stream_rerun_is_byte_identical(tmp_path):
         ({"weights": {"w_geo": "1e5"}}, "weights.w_geo"),
         ({"stream": {"segment_tokens": True}}, "stream.segment_tokens"),
         ({"stream": {"segment_ms": 10**400}}, "stream.segment_ms"),
+        ({"weights": {"gamma": 0.5}}, "'gamma' in config section 'weights'"),
     ],
 )
 def test_bad_config_file_exits_3_naming_section_and_key(tmp_path, capsys, doc, named):
@@ -470,6 +494,28 @@ def test_seed_is_rejected_where_nothing_reads_it(capsys, command, required):
         cli.main([command, *required, "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate-stream", "--features", "f", "--codebook", "c", "--segment-ms", "nan"], "--segment-ms"),
+    (["simulate-stream", "--features", "f", "--codebook", "c", "--text-ms", "inf"], "--text-ms"),
+    (["eval-recon", "--model", "m", "--gt", "g", "--pred", "p", "--w-geo", "nan"], "--w-geo"),
+    (["fit-codec", "--motion", "m", "--gamma=-inf"], "--gamma"),
+    (["gen-data", "--noise-std", "NaN"], "--noise-std"),
+    (["eval-metrics", "--model", "m", "--gt", "g", "--pred", "p", "--epsilon", "infinity"], "--epsilon"),
+])
+def test_float_flags_reject_non_finite_values(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+
+
+def test_gen_data_rejects_negative_noise(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("gen-data", "--out", out, "--frames", 5, "--vertices", 17, "--noise-std", -1) == 4
+    assert "noise_std must be >= 0" in capsys.readouterr().err
+    assert not (out / "motion.a2mo").exists()
 
 
 def test_malformed_text_inputs_exit_3(tmp_path, capsys):

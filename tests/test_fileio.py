@@ -354,6 +354,17 @@ def test_event_log_rejects_bad_timestamp(tmp_path):
         fileio.load_event_log(path)
 
 
+@pytest.mark.parametrize("timestamp", ["nan", "inf", "-inf"])
+def test_event_log_rejects_non_finite_timestamp(tmp_path, timestamp):
+    path = tmp_path / "events.log"
+    path.write_text(f"0.0 input_end\n{timestamp} first_text_token\n")
+    with pytest.raises(FormatError, match="finite"):
+        fileio.load_event_log(path)
+    path.write_text(f"{timestamp} input_end\n")
+    with pytest.raises(FormatError, match="finite"):
+        fileio.load_event_log(path)
+
+
 # ---------------------------------------------------------------------------
 # reports
 

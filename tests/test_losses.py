@@ -187,7 +187,7 @@ def test_total_losses_report_consistency(seed0_model, rng):
         w.w_param * report.l_param + w.w_geo * (report.l_lips + report.l_face) + w.w_dyn * (report.l_vel + report.l_acc),
         rel=1e-9,
     )
-    codebook_term, commit_term, _ = rvq.commitment_loss(z, q, w.gamma)
+    codebook_term, commit_term, _ = rvq.commitment_loss(z, q, rvq.QuantizerConfig().gamma)
     assert report.codebook_term == codebook_term
     assert report.commit_term == commit_term
     assert report.l_vqvae == report.l_rec + codebook_term + commit_term
@@ -238,3 +238,21 @@ def test_total_losses_end_to_end_oracle(seed0_model, rng):
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         losses.LossWeights(w_geo=-1.0)
+
+
+@pytest.mark.parametrize("name", ["w_param", "w_geo", "w_dyn", "lambda_vq"])
+def test_loss_weights_reject_nan(name):
+    with pytest.raises(ValueError, match=name):
+        losses.LossWeights(**{name: float("nan")})
+
+
+def test_gamma_is_the_codec_setting(seed0_model, rng):
+    assert not hasattr(losses.LossWeights(), "gamma")
+    a, b = seeded_pair(rng, t=6)
+    z = rvq.LatentSequence(rng.standard_normal((4, 8)))
+    q = rvq.LatentSequence(z.vectors + rng.standard_normal((4, 8)) * 0.1)
+    default = losses.total_losses(seed0_model, a, b, z=z, q=q)
+    assert default.commit_term == rvq.QuantizerConfig.gamma * default.codebook_term
+    half = losses.total_losses(seed0_model, a, b, z=z, q=q, gamma=0.5)
+    assert half.codebook_term == default.codebook_term
+    assert half.commit_term == 0.5 * half.codebook_term

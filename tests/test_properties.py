@@ -3,6 +3,7 @@ the nearest-codeword search, k-means++ seeding and the binary and text
 loaders."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import fileio, metrics, rvq  # noqa: E402
+from facemotion import fileio, metrics, rvq, streamsim  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 from facemotion.errors import FormatError  # noqa: E402
 from test_fileio import LOADERS, _valid_blob, _valid_csv_lines, _valid_model_doc  # noqa: E402
@@ -193,26 +194,34 @@ def _replace_in_model(doc, path, value):
     parent[key] = value
 
 
-def _replace_in_csv(lines, path, value):
+def _replace_cell(lines, path, value, sep):
     row = path[0] % len(lines)
-    cells = lines[row].split(",")
+    cells = lines[row].split(sep)
     cells[path[-1] % len(cells)] = value if isinstance(value, str) else json.dumps(value)
-    lines[row] = ",".join(cells)
+    lines[row] = sep.join(cells)
 
 
 @pytest.fixture(scope="session")
 def valid_text(tmp_path_factory):
     base = tmp_path_factory.mktemp("valid_text")
-    return {"model": json.dumps(_valid_model_doc(base)), "csv": _valid_csv_lines(base)}
+    log = streamsim.StreamEventLog()
+    for ts, kind, payload in ((0.0, "input_end", ""), (10.0, "first_text_token", ""), (50.0, "first_audio_token", ""),
+                              (150.0, "first_motion_frame", ""), (150.0, "segment_done", "segment=0"),
+                              (150.0, "stream_done", "content_ms=200.0")):
+        log.append(ts, kind, payload)
+    fileio.save_event_log(base / "valid.log", log)
+    return {"model": json.dumps(_valid_model_doc(base)), "csv": _valid_csv_lines(base),
+            "events": (base / "valid.log").read_text().splitlines()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["model", "csv"]),
+    kind=st.sampled_from(["model", "csv", "events"]),
     edits=st.lists(st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), JSON_VALUES), max_size=2),
     writes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
     cut=st.integers(0, 10**6),
 )
+@example(kind="events", edits=[([1, 0], float("nan"))], writes=[], cut=0)
 def test_corrupted_text_files_load_or_raise_format_error(tmp_path_factory, valid_text, kind, edits, writes, cut):
     if kind == "model":
         doc = json.loads(valid_text["model"])
@@ -220,16 +229,19 @@ def test_corrupted_text_files_load_or_raise_format_error(tmp_path_factory, valid
             _replace_in_model(doc, path, value)
         text, load = json.dumps(doc, indent=1), fileio.load_model
     else:
-        lines = list(valid_text["csv"])
+        lines = list(valid_text[kind])
         for path, value in edits:
-            _replace_in_csv(lines, path, value)
-        text, load = "\n".join(lines) + "\n", fileio.load_motion_csv
+            _replace_cell(lines, path, value, "," if kind == "csv" else " ")
+        text = "\n".join(lines) + "\n"
+        load = fileio.load_motion_csv if kind == "csv" else fileio.load_event_log
     blob = bytearray(text.encode("utf-8"))
     for offset, value in writes:
         blob[offset % len(blob)] = value
     path = tmp_path_factory.getbasetemp() / f"corrupt.{kind}"
     path.write_bytes(bytes(blob[: len(blob) - cut % 9]))
     try:
-        load(path)
+        loaded = load(path)
     except FormatError:
-        pass
+        return
+    if kind == "events":
+        assert all(math.isfinite(e.timestamp_ms) for e in loaded.events)

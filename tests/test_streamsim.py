@@ -45,15 +45,6 @@ def test_downsample_length_and_padding(rng):
     np.testing.assert_allclose(out.features, expected, rtol=0, atol=1e-12)
 
 
-def test_downsample_applies_affine(rng):
-    h = features(rng, t=10, d=4)
-    w = rng.standard_normal((3, 4))
-    b = rng.standard_normal(3)
-    out = streamsim.downsample_features(h, 5, affine=(w, b))
-    pooled = oracles.group_means(h.features, 5)
-    np.testing.assert_allclose(out.features, oracles.affine_map(pooled, w, b), rtol=0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # predictors and step
 
@@ -74,7 +65,7 @@ def test_hold_last_repeats_previous_segment(rng):
     cfg, proj, cb = codec(rng)
     state = streamsim.initial_state(cfg, segment_tokens=3)
     history = np.array([[1, 2], [3, 4], [5, 6]])
-    state = streamsim.SegmentState(history, 1, cfg.group_size, 2, 8, 3)
+    state = streamsim.SegmentState(history, 1, cfg, 3)
     tokens, _, _ = streamsim.step(state, features(rng, t=15), streamsim.PredictorSpec("hold_last"), cb, proj)
     np.testing.assert_array_equal(tokens.indices, history)
 
@@ -126,7 +117,7 @@ def test_step_markov_history_only(rng):
         tokens, motion, state = streamsim.step(state, seg, spec, cb, proj)
         outputs.append((tokens, motion))
     # replay segment 3 from a reconstructed state
-    replay_state = streamsim.SegmentState(outputs[2][0].indices, 3, cfg.group_size, 2, 8, 3)
+    replay_state = streamsim.SegmentState(outputs[2][0].indices, 3, cfg, 3)
     seg = streamsim.AudioFeatureSequence(feats.features[3 * seg_frames : 4 * seg_frames], fps=feats.fps)
     tokens, motion, _ = streamsim.step(replay_state, seg, spec, cb, proj)
     np.testing.assert_array_equal(tokens.indices, outputs[3][0].indices)
@@ -261,6 +252,25 @@ def test_latency_seed0_log_matches_subtraction_oracle(rng):
     assert report.ttfa_ms >= report.ttft_ms >= 0.0
 
 
+def test_event_log_rejects_non_finite_timestamps():
+    for ts in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            streamsim.StreamEvent(ts, "input_end")
+        log = streamsim.StreamEventLog()
+        with pytest.raises(ValueError, match="finite"):
+            log.append(ts, "input_end")
+        assert log.events == []
+
+
+@pytest.mark.parametrize("content_ms", ["inf", "nan", "0.0", "-5.0"])
+def test_latency_rejects_content_ms_that_is_not_positive_and_finite(content_ms):
+    log = streamsim.StreamEventLog()
+    log.append(0.0, "input_end")
+    log.append(500.0, "stream_done", f"content_ms={content_ms}")
+    with pytest.raises(StreamProtocolError, match="content_ms"):
+        streamsim.latency_report(log)
+
+
 def test_latency_missing_events_raise():
     log = streamsim.StreamEventLog()
     log.append(0.0, "input_end")
@@ -281,6 +291,30 @@ def test_run_stream_log_is_deterministic(rng):
     assert report.ttft_ms == timing.text_token_ms + timing.audio_token_ms
     assert report.ttfa_ms == report.ttft_ms + timing.segment_ms
     assert report.content_duration_ms == 1000.0
+
+
+def test_run_stream_timestamps_are_timing_model_sums(rng):
+    """Each timestamp is the running float sum of the delays, bit for bit;
+    0.1, 0.2 and 0.3 ms are not binary fractions, so the order of the sums shows."""
+    cfg, proj, cb = codec(rng)
+    timing = streamsim.TimingModel(text_token_ms=0.1, audio_token_ms=0.2, segment_ms=0.3)
+    _, _, log = streamsim.run_stream(
+        features(rng, t=52), streamsim.PredictorSpec("hold_last"), cb, proj, cfg, segment_tokens=2, timing=timing
+    )
+    now = 0.0
+    expected = [(now, "input_end")]
+    now += 0.1
+    expected.append((now, "first_text_token"))
+    now += 0.2
+    expected.append((now, "first_audio_token"))
+    for s in range(6):
+        now += 0.3
+        if s == 0:
+            expected.append((now, "first_motion_frame"))
+        expected.append((now, "segment_done"))
+    expected.append((now, "stream_done"))
+    assert [(e.timestamp_ms, e.kind) for e in log.events] == expected  # equal non-zero floats share their bits
+    assert log.events[-1].payload == "content_ms=2080.0"
 
 
 # ---------------------------------------------------------------------------

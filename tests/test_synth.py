@@ -95,6 +95,9 @@ def test_config_validation():
         synth.SynthConfig(duration_frames=0)
     with pytest.raises(ValueError):
         synth.SynthConfig(fps=0)
+    for noise_std in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="noise_std"):
+            synth.SynthConfig(noise_std=noise_std)
 
 
 def test_smallest_model_has_an_orthonormal_expression_basis():
