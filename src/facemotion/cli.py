@@ -1,9 +1,10 @@
 """Command-line surface for the motion codec pipeline.
 
 Commands: gen-data, fit-codec, encode, decode, eval-recon, eval-metrics,
-compare, simulate-stream. Every run writes a manifest JSON next to its
-outputs echoing the resolved configuration, so identical flags reproduce
-identical bytes.
+compare, simulate-stream. Every run writes <command>.manifest.json next to
+its outputs echoing the input files it read and the resolved configuration,
+so identical flags reproduce identical bytes. An input-file flag is accepted
+only where the command reads it.
 
 Configuration (CONFIG_SECTIONS): --config names a JSON object with optional
 sections "synth" (synth.SynthConfig), "quantizer" (rvq.QuantizerConfig),
@@ -102,9 +103,48 @@ def _settings(args, config, section) -> dict:
     return settings
 
 
-def _say(args, message):
-    if not args.quiet:
-        print(message)
+# Flags not named --key-with-dashes, by dest.
+_FLAG_NAMES = {
+    "duration_frames": "--frames",
+    "num_vertices": "--vertices",
+    "speech_rate_hz": "--speech-rate",
+    "num_levels": "--levels",
+    "peak_min_prominence": "--peak-prominence",
+    "peak_min_distance": "--peak-distance",
+    "text_token_ms": "--text-ms",
+    "audio_token_ms": "--audio-ms",
+}
+
+
+def _flag(dest: str) -> str:
+    return _FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
+
+
+class UsageError(Exception):
+    """A usage error the parser cannot see; main prints it and exits with EXIT_USAGE."""
+
+
+@dataclasses.dataclass
+class Outcome:
+    """What a command wrote; main records it in <command>.manifest.json."""
+
+    message: str
+    outputs: dict  # name -> path
+    config: dict
+    seed: typing.Optional[int] = None
+    results: typing.Optional[dict] = None
+
+
+def _inputs(args) -> dict:
+    """The input files given: name -> path, with name_<i> for each file of a repeatable flag."""
+    inputs = {}
+    for dest in args.input_dests:
+        value = getattr(args, dest)
+        if isinstance(value, list):
+            inputs.update({f"{dest}_{i}": str(path) for i, path in enumerate(value)})
+        elif value is not None:
+            inputs[dest] = str(value)
+    return inputs
 
 
 def _out_dir(args) -> Path:
@@ -123,6 +163,14 @@ def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.set_defaults(input_dests=())
+
+
+def _add_inputs(parser, *flags, **kwargs):
+    """Input-file options; the manifest's inputs echo the files they are given."""
+    for flag in flags:
+        dest = parser.add_argument(flag, **kwargs).dest
+        parser.set_defaults(input_dests=(*parser.get_default("input_dests"), dest))
 
 
 def _finite_float(text: str) -> float:
@@ -135,12 +183,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_settings(parser, section, **renamed):
-    """One option per key of a config section, named --key-with-dashes unless
-    renamed gives its flag; float options take finite numbers only."""
+def _add_settings(parser, section):
+    """One option per key of a config section; float options take finite numbers only."""
     for key, (typ, default) in CONFIG_SECTIONS[section].items():
-        flag = renamed.get(key, "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, type=_finite_float if typ is float else typ,
+        parser.add_argument(_flag(key), dest=key, type=_finite_float if typ is float else typ,
                             help=f"{section}.{key} (default {default})")
 
 
@@ -148,45 +194,33 @@ def _add_settings(parser, section, **renamed):
 # gen-data
 
 
-def cmd_gen_data(args, config) -> int:
+def cmd_gen_data(args, config) -> Outcome:
     settings = _settings(args, config, "synth")
     if settings["duration_frames"] < 1:
-        print(f"gen-data: --frames must be >= 1, got {settings['duration_frames']}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{_flag('duration_frames')} must be >= 1, got {settings['duration_frames']}")
     if settings["num_vertices"] < synth.MIN_VERTICES:
-        print(
-            f"gen-data: --vertices must be >= {synth.MIN_VERTICES}, got {settings['num_vertices']}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError(f"{_flag('num_vertices')} must be >= {synth.MIN_VERTICES}, got {settings['num_vertices']}")
     scfg = synth.SynthConfig(**settings)
     out = _out_dir(args)
     model_path = out / "model.json"
     motion_path = out / "motion.a2mo"
     fileio.save_model(model_path, synth.make_model(scfg))
     fileio.save_motion(motion_path, synth.make_motion(scfg))
-    fileio.save_manifest(
-        out / "gen-data.manifest.json",
-        command="gen-data",
-        seed=scfg.seed,
-        inputs={},
-        outputs={"model": str(model_path), "motion": str(motion_path)},
+    return Outcome(
+        f"wrote {model_path} and {motion_path}",
+        outputs={"model": model_path, "motion": motion_path},
         config={"synth": scfg.__dict__},
+        seed=scfg.seed,
     )
-    _say(args, f"wrote {model_path} and {motion_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # fit-codec
 
 
-def cmd_fit_codec(args, config) -> int:
+def cmd_fit_codec(args, config) -> Outcome:
     qcfg = rvq.QuantizerConfig(**_settings(args, config, "quantizer"))
     corpus = [_load_motion_any(p) for p in args.motion]
-    if not corpus:
-        print("fit-codec: no training motion files given", file=sys.stderr)
-        return EXIT_USAGE
     proj, cb = rvq.fit_codec(corpus, qcfg)
     latents = np.vstack([rvq.window_encode(m, proj, qcfg).vectors for m in corpus])
     z = rvq.LatentSequence(latents, fps_latent=corpus[0].fps / qcfg.group_size)
@@ -197,13 +231,11 @@ def cmd_fit_codec(args, config) -> int:
     out = _out_dir(args)
     cb_path = out / "codebook.a2cb"
     fileio.save_codebook(cb_path, cb, proj, qcfg)
-    fileio.save_manifest(
-        out / "fit-codec.manifest.json",
-        command="fit-codec",
-        seed=qcfg.seed,
-        inputs={f"motion_{i}": str(p) for i, p in enumerate(args.motion)},
-        outputs={"codebook": str(cb_path)},
+    return Outcome(
+        f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})",
+        outputs={"codebook": cb_path},
         config={"quantizer": qcfg.__dict__},
+        seed=qcfg.seed,
         results={
             "residual_norms": [float(v) for v in level_norms],
             "codebook_term": codebook_term,
@@ -212,15 +244,13 @@ def cmd_fit_codec(args, config) -> int:
             "lambda_vq": 1.0,  # commitment_loss adds its two terms with unit weight
         },
     )
-    _say(args, f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # encode / decode
 
 
-def cmd_encode(args, config) -> int:
+def cmd_encode(args, config) -> Outcome:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     m = _load_motion_any(args.motion)
     z = rvq.window_encode(m, proj, qcfg)
@@ -228,12 +258,9 @@ def cmd_encode(args, config) -> int:
     out = _out_dir(args)
     tok_path = out / "tokens.a2tk"
     fileio.save_tokens(tok_path, tokens)
-    fileio.save_manifest(
-        out / "encode.manifest.json",
-        command="encode",
-        seed=None,
-        inputs={"codebook": str(args.codebook), "motion": str(args.motion)},
-        outputs={"tokens": str(tok_path)},
+    return Outcome(
+        f"wrote {tok_path} ({len(tokens)} token rows)",
+        outputs={"tokens": tok_path},
         config={},
         results={
             "frames": len(m),
@@ -241,11 +268,9 @@ def cmd_encode(args, config) -> int:
             "residual_norms": [float(v) for v in level_norms],
         },
     )
-    _say(args, f"wrote {tok_path} ({len(tokens)} token rows)")
-    return EXIT_OK
 
 
-def cmd_decode(args, config) -> int:
+def cmd_decode(args, config) -> Outcome:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     tokens = fileio.load_tokens(args.tokens, group_size=qcfg.group_size)
     frames = args.frames if args.frames is not None else len(tokens) * qcfg.group_size
@@ -254,23 +279,18 @@ def cmd_decode(args, config) -> int:
     out = _out_dir(args)
     motion_path = out / "decoded.a2mo"
     fileio.save_motion(motion_path, m)
-    fileio.save_manifest(
-        out / "decode.manifest.json",
-        command="decode",
-        seed=None,
-        inputs={"codebook": str(args.codebook), "tokens": str(args.tokens)},
-        outputs={"motion": str(motion_path)},
+    return Outcome(
+        f"wrote {motion_path} ({frames} frames)",
+        outputs={"motion": motion_path},
         config={"frames": frames, "fps": args.fps},
     )
-    _say(args, f"wrote {motion_path} ({frames} frames)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # eval-recon / eval-metrics / compare
 
 
-def cmd_eval_recon(args, config) -> int:
+def cmd_eval_recon(args, config) -> Outcome:
     weights = losses.LossWeights(**_settings(args, config, "weights"))
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
@@ -286,22 +306,14 @@ def cmd_eval_recon(args, config) -> int:
     out = _out_dir(args)
     report_path = out / "loss_report.json"
     fileio.save_loss_report(report_path, report)
-    inputs = {"model": str(args.model), "gt": str(args.gt), "pred": str(args.pred)}
-    if args.codebook is not None:
-        inputs["codebook"] = str(args.codebook)
-    fileio.save_manifest(
-        out / "eval-recon.manifest.json",
-        command="eval-recon",
-        seed=None,
-        inputs=inputs,
-        outputs={"loss_report": str(report_path)},
+    return Outcome(
+        f"wrote {report_path} (l_rec={report.l_rec:.6g})",
+        outputs={"loss_report": report_path},
         config={"weights": weights.to_dict()},
     )
-    _say(args, f"wrote {report_path} (l_rec={report.l_rec:.6g})")
-    return EXIT_OK
 
 
-def cmd_eval_metrics(args, config) -> int:
+def cmd_eval_metrics(args, config) -> Outcome:
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
     pred = _load_motion_any(args.pred)
@@ -310,16 +322,11 @@ def cmd_eval_metrics(args, config) -> int:
     out = _out_dir(args)
     report_path = out / "metrics_report.json"
     fileio.save_metrics_report(report_path, report)
-    fileio.save_manifest(
-        out / "eval-metrics.manifest.json",
-        command="eval-metrics",
-        seed=None,
-        inputs={"model": str(args.model), "gt": str(args.gt), "pred": str(args.pred)},
-        outputs={"metrics_report": str(report_path)},
+    return Outcome(
+        f"wrote {report_path} (MOD={report.mod_mm:.4g} mm)",
+        outputs={"metrics_report": report_path},
         config={"metrics": mcfg.to_dict()},
     )
-    _say(args, f"wrote {report_path} (MOD={report.mod_mm:.4g} mm)")
-    return EXIT_OK
 
 
 # Ranking targets: each metric is scored by distance to its ideal; the
@@ -334,7 +341,7 @@ _METRIC_TARGETS = {
 }
 
 
-def cmd_compare(args, config) -> int:
+def cmd_compare(args, config) -> Outcome:
     model = fileio.load_model(args.model)
     reference = _load_motion_any(args.reference)
     mcfg = metrics.MetricsConfig(fps=reference.fps, **_settings(args, config, "metrics"))
@@ -364,7 +371,7 @@ def cmd_compare(args, config) -> int:
     for name, rep in zip(names, reports):
         path = out / f"metrics_{name}.json"
         fileio.save_metrics_report(path, rep)
-        report_paths[name] = str(path)
+        report_paths[name] = path
     comparison = {
         "report": "comparison",
         "reference": str(args.reference),
@@ -378,44 +385,37 @@ def cmd_compare(args, config) -> int:
     }
     cmp_path = out / "comparison.json"
     fileio.write_json(cmp_path, comparison)
-    fileio.save_manifest(
-        out / "compare.manifest.json",
-        command="compare",
-        seed=None,
-        inputs={"model": str(args.model), "reference": str(args.reference),
-                **{f"candidate_{i}": str(p) for i, p in enumerate(args.candidate)}},
-        outputs={"comparison": str(cmp_path), **report_paths},
+    return Outcome(
+        f"wrote {cmp_path} ({len(names)} candidates)",
+        outputs={"comparison": cmp_path, **report_paths},
         config={"metrics": mcfg.to_dict()},
     )
-    _say(args, f"wrote {cmp_path} ({len(names)} candidates)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # simulate-stream
 
 
-def cmd_simulate_stream(args, config) -> int:
+def cmd_simulate_stream(args, config) -> Outcome:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     features = fileio.load_features(args.features)
     settings = _settings(args, config, "stream")
     segment_tokens = settings.pop("segment_tokens")
     seed = settings.pop("seed")
 
+    if args.predictor == "oracle" and args.gt_tokens is None:
+        raise UsageError("--gt-tokens is required for the oracle predictor")
+    if args.predictor == "retrieval" and (args.corpus_features is None or args.corpus_tokens is None):
+        raise UsageError("--corpus-features and --corpus-tokens are required for retrieval")
+    # Each predictor's input files are accepted only with that predictor.
+    for dest, kind in (("gt_tokens", "oracle"), ("corpus_features", "retrieval"), ("corpus_tokens", "retrieval")):
+        if getattr(args, dest) is not None and args.predictor != kind:
+            raise UsageError(f"{_flag(dest)} is read only by the {kind} predictor")
     gt_tokens = None
     corpus = None
     if args.predictor == "oracle":
-        if args.gt_tokens is None:
-            print("simulate-stream: --gt-tokens is required for the oracle predictor", file=sys.stderr)
-            return EXIT_USAGE
         gt_tokens = fileio.load_tokens(args.gt_tokens, group_size=qcfg.group_size)
     if args.predictor == "retrieval":
-        if args.corpus_features is None or args.corpus_tokens is None:
-            print(
-                "simulate-stream: --corpus-features and --corpus-tokens are required for retrieval",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
         corpus = streamsim.make_retrieval_corpus(
             fileio.load_features(args.corpus_features),
             fileio.load_tokens(args.corpus_tokens, group_size=qcfg.group_size),
@@ -440,18 +440,9 @@ def cmd_simulate_stream(args, config) -> int:
     fileio.save_motion(paths["motion"], motion)
     fileio.save_event_log(paths["events"], log)
     fileio.save_latency_report(paths["latency_report"], report)
-    inputs = {"features": str(args.features), "codebook": str(args.codebook)}
-    if args.gt_tokens:
-        inputs["gt_tokens"] = str(args.gt_tokens)
-    if args.corpus_features:
-        inputs["corpus_features"] = str(args.corpus_features)
-        inputs["corpus_tokens"] = str(args.corpus_tokens)
-    fileio.save_manifest(
-        out / "simulate-stream.manifest.json",
-        command="simulate-stream",
-        seed=seed,
-        inputs=inputs,
-        outputs={k: str(v) for k, v in paths.items()},
+    return Outcome(
+        f"wrote {paths['latency_report']} (RTF={report.rtf:.4g})",
+        outputs=paths,
         config={
             "stream": {
                 "predictor": args.predictor,
@@ -459,9 +450,8 @@ def cmd_simulate_stream(args, config) -> int:
                 "timing": timing.__dict__,
             },
         },
+        seed=seed,
     )
-    _say(args, f"wrote {paths['latency_report']} (RTF={report.rtf:.4g})")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -477,63 +467,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic model and motion sequence")
     _add_common(p)
-    _add_settings(p, "synth", duration_frames="--frames", num_vertices="--vertices", speech_rate_hz="--speech-rate")
+    _add_settings(p, "synth")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-codec", help="fit window projections and codebooks on motion files")
     _add_common(p)
-    p.add_argument("--motion", action="append", required=True, help="training motion file (repeatable)")
-    _add_settings(p, "quantizer", num_levels="--levels")
+    _add_inputs(p, "--motion", action="append", required=True, help="training motion file (repeatable)")
+    _add_settings(p, "quantizer")
     p.set_defaults(func=cmd_fit_codec)
 
     p = sub.add_parser("encode", help="encode a motion file to tokens")
     _add_common(p)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--motion", required=True)
+    _add_inputs(p, "--codebook", "--motion", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a token file to motion")
     _add_common(p)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--tokens", required=True)
+    _add_inputs(p, "--codebook", "--tokens", required=True)
     p.add_argument("--frames", type=int, default=None, help="original frame count (default: all)")
-    p.add_argument("--fps", type=float, default=25.0, help="output frame rate (default %(default)s)")
+    p.add_argument("--fps", type=_finite_float, default=25.0, help="output frame rate (default %(default)s)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval-recon", help="itemized reconstruction loss report")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--codebook", default=None, help="include quantizer diagnostics")
+    _add_inputs(p, "--model", "--gt", "--pred", required=True)
+    _add_inputs(p, "--codebook", default=None, help="include quantizer diagnostics")
     _add_settings(p, "weights")
     p.set_defaults(func=cmd_eval_recon)
 
     p = sub.add_parser("eval-metrics", help="full metric report for a prediction/reference pair")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
-    _add_settings(p, "metrics", peak_min_prominence="--peak-prominence", peak_min_distance="--peak-distance")
+    _add_inputs(p, "--model", "--gt", "--pred", required=True)
+    _add_settings(p, "metrics")
     p.set_defaults(func=cmd_eval_metrics)
 
     p = sub.add_parser("compare", help="rank candidate motions against one reference")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--candidate", action="append", required=True, help="candidate motion file (repeatable)")
-    _add_settings(p, "metrics", peak_min_prominence="--peak-prominence", peak_min_distance="--peak-distance")
+    _add_inputs(p, "--model", "--reference", required=True)
+    _add_inputs(p, "--candidate", action="append", required=True, help="candidate motion file (repeatable)")
+    _add_settings(p, "metrics")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate-stream", help="run the segment-wise decode protocol")
     _add_common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--codebook", required=True)
+    _add_inputs(p, "--features", "--codebook", required=True)
     p.add_argument("--predictor", choices=streamsim.PREDICTOR_KINDS, default="hold_last")
-    p.add_argument("--gt-tokens", default=None, help="token file for the oracle predictor")
-    p.add_argument("--corpus-features", default=None, help="feature file for the retrieval corpus")
-    p.add_argument("--corpus-tokens", default=None, help="token file for the retrieval corpus")
-    _add_settings(p, "stream", text_token_ms="--text-ms", audio_token_ms="--audio-ms")
+    _add_inputs(p, "--gt-tokens", default=None, help="token file for the oracle predictor")
+    _add_inputs(p, "--corpus-features", default=None, help="feature file for the retrieval corpus")
+    _add_inputs(p, "--corpus-tokens", default=None, help="token file for the retrieval corpus")
+    _add_settings(p, "stream")
     p.set_defaults(func=cmd_simulate_stream)
 
     return parser
@@ -542,7 +524,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _load_config(args.config))
+        done = args.func(args, _load_config(args.config))
+        fileio.save_manifest(
+            Path(args.out) / f"{args.command}.manifest.json",
+            command=args.command,
+            seed=done.seed,
+            inputs=_inputs(args),
+            outputs={name: str(path) for name, path in done.outputs.items()},
+            config=done.config,
+            results=done.results,
+        )
+        if not args.quiet:
+            print(done.message)
+        return EXIT_OK
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FormatError as exc:
         print(f"facemotion {args.command}: format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -105,29 +105,51 @@ def _container(path: _PathLike, magic: bytes, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Motion sequences
+# Motion (A2MO, CSV) and feature (A2FE) sequences; A2MO and A2FE share one layout
+
+
+def _save_rows(path: _PathLike, magic: bytes, fps: float, rows: np.ndarray) -> None:
+    """Write magic, u32 version 1, f32 fps, u32 row count, u32 row width, then f32 rows.
+
+    An fps that is not positive and finite as f32 raises ValueError before the file is opened.
+    """
+    with np.errstate(over="ignore"):
+        fps32 = np.float32(fps)
+    if not 0 < fps32 < np.inf:
+        raise ValueError(f"fps must be positive and finite at f32 precision, got {fps!r}")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<IfII", 1, fps32, *rows.shape))
+        fh.write(rows.astype("<f4").tobytes())
+
+
+def _load_rows(path: _PathLike, magic: bytes, kind: str, make, count_what: str, rows_what: str,
+               dim: Optional[int] = None):
+    """make(rows, fps=fps) from _save_rows' layout; the whats name fields in errors, dim fixes the width."""
+    with _container(path, magic, kind) as fh:
+        fps = _read_f32(fh, "fps")
+        count = _read_u32(fh, count_what)
+        width = _read_u32(fh, "dim")
+        if dim is not None and width != dim:
+            raise FormatError(f"frame dim must be {dim}, got {width}")
+        return make(_read_f32_array(fh, count * width, rows_what).reshape(count, width), fps=fps)
 
 
 def save_motion(path: _PathLike, m: motion_core.MotionSequence) -> None:
     """Write the A2MO binary container (f32 frames, row-major)."""
-    with open(path, "wb") as fh:
-        fh.write(MOTION_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<f", m.fps))
-        fh.write(struct.pack("<I", len(m)))
-        fh.write(struct.pack("<I", motion_core.FRAME_DIM))
-        fh.write(m.params.astype("<f4").tobytes())
+    _save_rows(path, MOTION_MAGIC, m.fps, m.params)
 
 
 def load_motion(path: _PathLike) -> motion_core.MotionSequence:
-    with _container(path, MOTION_MAGIC, "motion") as fh:
-        fps = _read_f32(fh, "fps")
-        count = _read_u32(fh, "frame_count")
-        dim = _read_u32(fh, "dim")
-        if dim != motion_core.FRAME_DIM:
-            raise FormatError(f"frame dim must be {motion_core.FRAME_DIM}, got {dim}")
-        frames = _read_f32_array(fh, count * dim, "frames").reshape(count, dim)
-        return motion_core.MotionSequence(frames, fps=fps)
+    return _load_rows(path, MOTION_MAGIC, "motion", motion_core.MotionSequence, "frame_count", "frames",
+                      dim=motion_core.FRAME_DIM)
+
+
+def save_features(path: _PathLike, h: streamsim.AudioFeatureSequence) -> None:
+    _save_rows(path, FEATURE_MAGIC, h.fps, h.features)
+
+
+def load_features(path: _PathLike) -> streamsim.AudioFeatureSequence:
+    return _load_rows(path, FEATURE_MAGIC, "feature", streamsim.AudioFeatureSequence, "count", "features")
 
 
 def _f32_repr(value: float) -> str:
@@ -321,29 +343,6 @@ def load_tokens(path: _PathLike, group_size: int = 5) -> rvq.TokenSequence:
         data = _read_exact(fh, 2 * count * n_q, "indices")
         indices = np.frombuffer(data, dtype="<u2").astype(np.int64).reshape(count, n_q)
         return rvq.TokenSequence(indices, group_size=group_size, num_levels=n_q, codebook_size=k)
-
-
-# ---------------------------------------------------------------------------
-# Feature sequences (A2FE)
-
-
-def save_features(path: _PathLike, h: streamsim.AudioFeatureSequence) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<f", h.fps))
-        fh.write(struct.pack("<I", len(h)))
-        fh.write(struct.pack("<I", h.features.shape[1]))
-        fh.write(h.features.astype("<f4").tobytes())
-
-
-def load_features(path: _PathLike) -> streamsim.AudioFeatureSequence:
-    with _container(path, FEATURE_MAGIC, "feature") as fh:
-        fps = _read_f32(fh, "fps")
-        count = _read_u32(fh, "count")
-        dim = _read_u32(fh, "dim")
-        feats = _read_f32_array(fh, count * dim, "features").reshape(count, dim)
-        return streamsim.AudioFeatureSequence(feats, fps=fps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IncompatibleShapeError, StreamProtocolError
 from .motion_core import MotionSequence
-from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, rvq_decode, window_decode
+from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, pad_to_group, rvq_decode, window_decode
 
 EVENT_KINDS = (
     "input_end",
@@ -59,15 +59,8 @@ class AudioFeatureSequence:
 def downsample_features(h: AudioFeatureSequence, group_size: int) -> AudioFeatureSequence:
     """Mean-pool feature rows in groups of group_size; the final group is
     padded by repeating the last row."""
-    if len(h) < 1:
-        raise ValueError("cannot downsample an empty feature sequence")
-    t = len(h)
-    n_groups = math.ceil(t / group_size)
-    pad = n_groups * group_size - t
-    feats = h.features
-    if pad:
-        feats = np.concatenate([feats, np.repeat(feats[-1:], pad, axis=0)])
-    pooled = feats.reshape(n_groups, group_size, -1).mean(axis=1)
+    padded = pad_to_group(h.features, group_size)
+    pooled = padded.reshape(-1, group_size, padded.shape[1]).mean(axis=1)
     return AudioFeatureSequence(pooled, fps=h.fps / group_size)
 
 
@@ -241,7 +234,10 @@ def latency_report(log: StreamEventLog) -> LatencyReport:
     content_ms = None
     for item in done.payload.split():
         if item.startswith("content_ms="):
-            content_ms = float(item.split("=", 1)[1])
+            try:
+                content_ms = float(item.split("=", 1)[1])
+            except ValueError:
+                raise StreamProtocolError(f"content_ms is not a number: {item!r}") from None
     if content_ms is None or not 0 < content_ms < math.inf:
         raise StreamProtocolError("stream_done payload must carry content_ms=<positive finite value>")
     generation_ms = done.timestamp_ms - start.timestamp_ms
@@ -265,6 +261,11 @@ class TimingModel:
     text_token_ms: float = 10.0
     audio_token_ms: float = 40.0
     segment_ms: float = 100.0
+
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite delay >= 0, got {value}")
 
 
 def _segment_chunks(

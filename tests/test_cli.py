@@ -145,6 +145,14 @@ def test_encode_corrupt_magic_exits_3(tmp_path):
     assert run("encode", "--out", tmp_path, "--codebook", bad, "--motion", out / "motion.a2mo") == 3
 
 
+@pytest.mark.parametrize("fps", ["1e39", "1e-320"])  # beyond f32 range; 0 as f32
+def test_decode_rejects_fps_that_is_not_positive_and_finite_as_f32(tmp_path, capsys, files, fps):
+    out = tmp_path / "dec"
+    assert run("decode", "--out", out, "--codebook", files["codebook"], "--tokens", files["tokens"], "--fps", fps) == 4
+    assert "fps must be positive and finite at f32 precision" in capsys.readouterr().err
+    assert not (out / "decoded.a2mo").exists()
+
+
 def test_decode_excess_frames_exits_4(tmp_path):
     out = gen(tmp_path, frames=10)
     cb_path = fit(tmp_path, out / "motion.a2mo")
@@ -386,6 +394,88 @@ def test_simulate_stream_rerun_is_byte_identical(tmp_path):
     assert run(*argv) == 0
     for name in names:
         assert (tmp_path / "s" / name).read_bytes() == first[name], name
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("files")
+    data = gen(root, frames=50)
+    cb_path = fit(root, data / "motion.a2mo", codebook_size=8)
+    assert run("encode", "--out", root / "enc", "--codebook", cb_path, "--motion", data / "motion.a2mo") == 0
+    return {"model": data / "model.json", "motion": data / "motion.a2mo", "codebook": cb_path,
+            "tokens": root / "enc" / "tokens.a2tk", "features": make_features(root, t=50)}
+
+
+@pytest.mark.parametrize("predictor, extra, message", [
+    ("hold_last", ["--gt-tokens", "tokens"], "--gt-tokens is read only by the oracle predictor"),
+    ("uniform", ["--corpus-features", "features"], "--corpus-features is read only by the retrieval predictor"),
+    ("hold_last", ["--corpus-features", "features", "--corpus-tokens", "tokens"],
+     "--corpus-features is read only by the retrieval predictor"),
+    ("retrieval", ["--corpus-features", "features", "--corpus-tokens", "tokens", "--gt-tokens", "tokens"],
+     "--gt-tokens is read only by the oracle predictor"),
+    ("oracle", ["--gt-tokens", "tokens", "--corpus-tokens", "tokens"],
+     "--corpus-tokens is read only by the retrieval predictor"),
+    ("oracle", [], "simulate-stream: --gt-tokens is required for the oracle predictor"),
+    ("retrieval", ["--corpus-features", "features"],
+     "simulate-stream: --corpus-features and --corpus-tokens are required for retrieval"),
+], ids=["hold_last-gt", "uniform-corpus", "hold_last-corpus", "retrieval-gt", "oracle-corpus", "oracle-missing",
+        "retrieval-missing"])
+def test_simulate_stream_takes_exactly_the_inputs_its_predictor_reads(tmp_path, capsys, files, predictor, extra,
+                                                                       message):
+    out = tmp_path / "s"
+    assert run("simulate-stream", "--out", out, "--features", files["features"], "--codebook", files["codebook"],
+               "--predictor", predictor, *[files.get(arg, arg) for arg in extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_stream_rejects_negative_delay_naming_it(tmp_path, capsys, files):
+    assert run("simulate-stream", "--out", tmp_path / "s", "--features", files["features"],
+               "--codebook", files["codebook"], "--segment-ms", -5) == 4
+    assert "segment_ms must be a finite delay >= 0, got -5.0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+
+# (argv with file names, manifest inputs as name -> file name)
+MANIFEST_INPUTS = [
+    (["gen-data", "--frames", 5, "--vertices", 17], {}),
+    (["fit-codec", "--motion", "motion", "--motion", "motion", "--levels", 1, "--codebook-size", 4,
+      "--latent-dim", 8], {"motion_0": "motion", "motion_1": "motion"}),
+    (["encode", "--codebook", "codebook", "--motion", "motion"], {"codebook": "codebook", "motion": "motion"}),
+    (["decode", "--codebook", "codebook", "--tokens", "tokens"], {"codebook": "codebook", "tokens": "tokens"}),
+    (["eval-recon", "--model", "model", "--gt", "motion", "--pred", "motion"],
+     {"model": "model", "gt": "motion", "pred": "motion"}),
+    (["eval-recon", "--model", "model", "--gt", "motion", "--pred", "motion", "--codebook", "codebook"],
+     {"model": "model", "gt": "motion", "pred": "motion", "codebook": "codebook"}),
+    (["eval-metrics", "--model", "model", "--gt", "motion", "--pred", "motion"],
+     {"model": "model", "gt": "motion", "pred": "motion"}),
+    (["compare", "--model", "model", "--reference", "motion", "--candidate", "motion", "--candidate", "motion"],
+     {"model": "model", "reference": "motion", "candidate_0": "motion", "candidate_1": "motion"}),
+    (["simulate-stream", "--features", "features", "--codebook", "codebook"],
+     {"features": "features", "codebook": "codebook"}),
+    (["simulate-stream", "--features", "features", "--codebook", "codebook", "--predictor", "uniform"],
+     {"features": "features", "codebook": "codebook"}),
+    (["simulate-stream", "--features", "features", "--codebook", "codebook", "--predictor", "oracle",
+      "--gt-tokens", "tokens"], {"features": "features", "codebook": "codebook", "gt_tokens": "tokens"}),
+    (["simulate-stream", "--features", "features", "--codebook", "codebook", "--predictor", "retrieval",
+      "--corpus-features", "features", "--corpus-tokens", "tokens"],
+     {"features": "features", "codebook": "codebook", "corpus_features": "features", "corpus_tokens": "tokens"}),
+]
+
+
+@pytest.mark.parametrize("argv, inputs", MANIFEST_INPUTS, ids=[
+    "gen-data", "fit-codec", "encode", "decode", "eval-recon", "eval-recon-codebook", "eval-metrics", "compare",
+    "stream-hold_last", "stream-uniform", "stream-oracle", "stream-retrieval",
+])
+def test_manifest_names_the_command_and_the_input_files_given(tmp_path, files, argv, inputs):
+    out = tmp_path / "out"
+    assert run(*[files.get(arg, arg) for arg in argv], "--out", out) == 0
+    manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == {name: str(files[file]) for name, file in inputs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,25 @@ def test_features_forged_count(tmp_path):
         fileio.load_features(path)
 
 
+def test_features_share_the_motion_layout(tmp_path, rng):
+    rows = rng.standard_normal((3, FRAME_DIM))
+    fileio.save_motion(tmp_path / "m.a2mo", MotionSequence(rows, fps=30.0))
+    fileio.save_features(tmp_path / "f.a2fe", streamsim.AudioFeatureSequence(rows, fps=30.0))
+    motion, features = (tmp_path / "m.a2mo").read_bytes(), (tmp_path / "f.a2fe").read_bytes()
+    assert (motion[:4], features[:4]) == (b"A2MO", b"A2FE")
+    assert motion[4:] == features[4:]
+
+
+@pytest.mark.parametrize("fps", [1e39, 1e-320])  # beyond f32 range; 0 as f32
+def test_writers_reject_fps_that_is_not_positive_and_finite_as_f32(tmp_path, fps):
+    path = tmp_path / "out"
+    for save, sequence in ((fileio.save_motion, MotionSequence(np.zeros((2, FRAME_DIM)), fps=fps)),
+                           (fileio.save_features, streamsim.AudioFeatureSequence(np.zeros((2, 3)), fps=fps))):
+        with pytest.raises(ValueError, match="fps must be positive and finite at f32 precision"):
+            save(path, sequence)
+        assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # event logs
 

@@ -262,7 +262,7 @@ def test_event_log_rejects_non_finite_timestamps():
         assert log.events == []
 
 
-@pytest.mark.parametrize("content_ms", ["inf", "nan", "0.0", "-5.0"])
+@pytest.mark.parametrize("content_ms", ["inf", "nan", "0.0", "-5.0", "abc"])
 def test_latency_rejects_content_ms_that_is_not_positive_and_finite(content_ms):
     log = streamsim.StreamEventLog()
     log.append(0.0, "input_end")
@@ -276,6 +276,14 @@ def test_latency_missing_events_raise():
     log.append(0.0, "input_end")
     with pytest.raises(StreamProtocolError):
         streamsim.latency_report(log)
+
+
+@pytest.mark.parametrize("field", ["text_token_ms", "audio_token_ms", "segment_ms"])
+@pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+def test_timing_model_rejects_delays_that_are_negative_or_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite delay >= 0"):
+        streamsim.TimingModel(**{field: value})
+    assert streamsim.TimingModel(0.0, 0.0, 0.0).segment_ms == 0.0
 
 
 def test_run_stream_log_is_deterministic(rng):
