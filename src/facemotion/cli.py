@@ -350,7 +350,7 @@ def cmd_compare(args, config) -> Outcome:
     names, reports = [], []
     for i, path in enumerate(args.candidate):
         name = Path(path).stem
-        while name in names:
+        while name in names or name == "comparison":  # "comparison" names the manifest's comparison.json
             name = f"{name}_{i}"
         names.append(name)
         reports.append(metrics.full_report(model, _load_motion_any(path), reference, mcfg))

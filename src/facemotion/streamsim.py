@@ -72,20 +72,46 @@ class PredictorSpec:
     of the corpus entry whose key is nearest (L2) to the pooled feature mean,
     'hold_last' repeats the previous segment (zero indices at stream start),
     and 'uniform' samples indices uniformly from a seeded generator.
+
+    A retrieval corpus is checked and its keys stacked into one (S, d_h)
+    matrix at construction: every key is 1-D, finite and of one length, and
+    every token segment is 2-D with at least one row. Ties between equally
+    near keys go to the lowest corpus index.
     """
 
     kind: str
     corpus: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None
     gt_tokens: Optional[TokenSequence] = None
     seed: int = 0
+    _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor kind '{self.kind}'")
         if self.kind == "oracle" and self.gt_tokens is None:
             raise StreamProtocolError("oracle predictor requires gt_tokens")
-        if self.kind == "retrieval" and not self.corpus:
-            raise StreamProtocolError("retrieval predictor requires a nonempty corpus")
+        if self.kind == "retrieval":
+            if not self.corpus:
+                raise StreamProtocolError("retrieval predictor requires a nonempty corpus")
+            keys = [np.asarray(k, dtype=np.float64) for k, _ in self.corpus]
+            for i, (key, (_, rows)) in enumerate(zip(keys, self.corpus)):
+                if key.ndim != 1:
+                    raise IncompatibleShapeError(f"corpus key {i} must be 1-D, got shape {key.shape}")
+                if key.shape != keys[0].shape:
+                    raise IncompatibleShapeError(f"corpus key {i} has length {key.size}, key 0 has {keys[0].size}")
+                if not np.all(np.isfinite(key)):
+                    raise ValueError(f"corpus key {i} contains non-finite values")
+                if np.ndim(rows) != 2 or len(rows) == 0:
+                    raise IncompatibleShapeError(
+                        f"corpus token segment {i} has shape {np.shape(rows)}; it must be 2-D with >= 1 row")
+            self._keys = np.stack(keys)
+
+    def _key_distances(self, key: np.ndarray) -> np.ndarray:
+        """Squared L2 distance to every key, each bit-identical to the per-key ``np.sum((k - key) ** 2)``."""
+        if key.shape != self._keys.shape[1:]:
+            raise IncompatibleShapeError(
+                f"feature width {key.shape[0]} does not match corpus key width {self._keys.shape[1]}")
+        return ((self._keys - key) ** 2).sum(axis=1)
 
 
 @dataclass
@@ -133,9 +159,7 @@ def _predict_segment(
             )
         return rows
     if predictor.kind == "retrieval":
-        key = pooled.features.mean(axis=0)
-        dists = [float(np.sum((np.asarray(k, dtype=np.float64) - key) ** 2)) for k, _ in predictor.corpus]
-        best = int(np.argmin(dists))  # ties resolve to the lowest corpus index
+        best = int(np.argmin(predictor._key_distances(pooled.features.mean(axis=0))))  # ties: lowest index
         return _tile_rows(np.asarray(predictor.corpus[best][1], dtype=np.int64), n_tokens)
     # uniform
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([predictor.seed, state.segment_index])))

@@ -313,6 +313,21 @@ def test_compare_makes_colliding_candidate_names_unique(tmp_path):
         assert sorted(ranking) == ["x", "x_2", "x_2_2"]
 
 
+def test_compare_candidate_named_comparison_keeps_both_outputs(tmp_path):
+    out = gen(tmp_path, frames=50)
+    (tmp_path / "c").mkdir()
+    candidate = tmp_path / "c" / "comparison.a2mo"
+    candidate.write_bytes((out / "motion.a2mo").read_bytes())
+    res = tmp_path / "cmp"
+    assert run("compare", "--out", res, "--model", out / "model.json", "--reference", out / "motion.a2mo",
+               "--candidate", candidate) == 0
+    doc = json.loads((res / "comparison.json").read_text())
+    assert list(doc["candidates"]) == ["comparison_0"]
+    manifest = json.loads((res / "compare.manifest.json").read_text())
+    assert manifest["outputs"] == {"comparison": str(res / "comparison.json"),
+                                   "comparison_0": str(res / "metrics_comparison_0.json")}
+
+
 # ---------------------------------------------------------------------------
 # simulate-stream
 

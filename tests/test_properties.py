@@ -1,6 +1,6 @@
 """Property tests (hypothesis) for the batched forward model, peak picking,
-the nearest-codeword search, k-means++ seeding and the binary and text
-loaders."""
+the nearest-codeword search, k-means++ seeding, the stream's retrieval
+predictor and the binary and text loaders."""
 
 import json
 import math
@@ -118,6 +118,33 @@ def test_nearest_codeword_equals_explicit_difference_scan(n, k, d, seed, spread)
     idx, dist = rvq._nearest_indices(points, codewords)
     assert idx.tolist() == np.argmin(d2, axis=1).tolist()
     assert _bits(dist) == _bits(d2[np.arange(n), idx])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(1, 12),
+    d=st.sampled_from([1, 7, 8, 9, 16, 17, 128, 129, 300]),
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.integers(0, 4),
+    grid=st.booleans(),
+    on_key=st.booleans(),
+)
+def test_retrieval_stacked_distances_match_per_key_scan(s, d, seed, copies, grid, on_key):
+    # widths straddle numpy's pairwise-sum blocking (8-way unrolled, 128-element
+    # blocks); integer grids and duplicated keys make exact ties, which go to
+    # the lowest corpus index
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-2, 3, size=(s, d)).astype(np.float64) if grid else rng.standard_normal((s, d))
+    keys = np.vstack([keys, keys[rng.integers(0, s, size=copies)]])[rng.permutation(s + copies)]
+    query = keys[rng.integers(0, s + copies)].copy() if on_key else rng.integers(-2, 3, size=d) * 0.5
+    corpus = [(k.copy(), np.full((1, 1), i)) for i, k in enumerate(keys)]
+    spec = streamsim.PredictorSpec("retrieval", corpus=corpus)
+    dists = spec._key_distances(query)
+    assert _bits(dists) == _bits(np.array([float(np.sum((k - query) ** 2)) for k, _ in corpus]))
+    state = streamsim.initial_state(rvq.QuantizerConfig(num_levels=1))
+    pooled = streamsim.AudioFeatureSequence(query[None, :])
+    picked = streamsim._predict_segment(state, pooled, spec, n_tokens=1)
+    assert picked.tolist() == [[oracles.nearest_key_scan([k for k, _ in corpus], query)]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -92,6 +92,30 @@ def test_retrieval_matches_exhaustive_scan(rng):
     np.testing.assert_array_equal(tokens.indices, corpus[expected_idx][1])
 
 
+@pytest.mark.parametrize("corpus, error, message", [
+    ([(np.zeros(3), [[0]]), (np.array([0.0, np.nan, 0.0]), [[1]])], ValueError,
+     "corpus key 1 contains non-finite values"),
+    ([(np.zeros((2, 3)), [[0]])], IncompatibleShapeError, "corpus key 0 must be 1-D, got shape (2, 3)"),
+    ([(np.zeros(3), [[0]]), (np.zeros(3), [[1]]), (np.zeros(4), [[2]])], IncompatibleShapeError,
+     "corpus key 2 has length 4, key 0 has 3"),
+    ([(np.zeros(3), [[0]]), (np.zeros(3), [1, 2])], IncompatibleShapeError,
+     "corpus token segment 1 has shape (2,); it must be 2-D with >= 1 row"),
+    ([(np.zeros(3), np.zeros((0, 2), dtype=np.int64))], IncompatibleShapeError,
+     "corpus token segment 0 has shape (0, 2); it must be 2-D with >= 1 row"),
+], ids=["nan-key", "2d-key", "key-length", "1d-tokens", "empty-tokens"])
+def test_retrieval_rejects_bad_corpus_naming_the_entry(corpus, error, message):
+    with pytest.raises(error) as exc:
+        streamsim.PredictorSpec("retrieval", corpus=corpus)
+    assert str(exc.value) == message
+
+
+def test_retrieval_step_rejects_feature_width_other_than_key_width(rng):
+    cfg, proj, cb = codec(rng)
+    spec = streamsim.PredictorSpec("retrieval", corpus=[(np.zeros(4), np.zeros((3, 2), dtype=np.int64))])
+    with pytest.raises(IncompatibleShapeError, match="feature width 6 does not match corpus key width 4"):
+        streamsim.step(streamsim.initial_state(cfg, segment_tokens=3), features(rng, t=15), spec, cb, proj)
+
+
 def test_uniform_predictor_is_seeded(rng):
     cfg, proj, cb = codec(rng)
     spec = streamsim.PredictorSpec("uniform", seed=7)
