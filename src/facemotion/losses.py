@@ -12,6 +12,22 @@ sequence lengths and mesh sizes. The quantizer diagnostic adds the codebook
 and commitment terms, each scaled by lambda_vq, on top of l_rec:
 
     l_vqvae = l_rec + lambda_vq * codebook_term + lambda_vq * commit_term
+
+Reduction order. Each vertex term is bit-identical to its plain formula,
+``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)`` for a region and
+``np.mean((np.diff(v, n, axis=0) - np.diff(v_hat, n, axis=0)) ** 2)`` for
+n = 1, 2. The squared differences are written, ``_CHUNK_FRAMES`` frames at a
+time, into one buffer holding the same values in the same memory order as
+the plain formula's array, and one ``np.mean`` sums that buffer:
+
+- a region buffer is C-contiguous (len(idx), T, 3), the layout numpy gives
+  ``v[:, idx]`` (the indexed axis outermost);
+- the dynamics buffer is C-contiguous (T-1, N, 3) and holds the velocity
+  terms; its (T-2, N, 3) prefix is then overwritten with the acceleration
+  terms.
+
+The velocity and acceleration arrays themselves are never built, so a call
+holds the two renders and one buffer of squared differences.
 """
 
 from __future__ import annotations
@@ -27,6 +43,9 @@ from .rvq import LatentSequence, QuantizerConfig, commitment_loss
 
 REDUCTION = "mean_over_frames_and_dims"
 
+# Frames of squared differences computed per step; bounds the temporaries.
+_CHUNK_FRAMES = 128
+
 
 @dataclass
 class LossWeights:
@@ -37,8 +56,11 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("w_param", "w_geo", "w_dyn", "lambda_vq"):
-            if not getattr(self, name) >= 0:
+            value = getattr(self, name)
+            if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def to_dict(self) -> Dict[str, float]:
         return asdict(self)
@@ -99,20 +121,40 @@ def _zero_posed_pair(
     )
 
 
+def _region_mse(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
+    """``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)``, bit for bit (see the
+    module docstring), without the gathered arrays."""
+    t = v.shape[0]
+    sq = np.empty((idx.size, t, 3))
+    for start in range(0, t, _CHUNK_FRAMES):
+        stop = min(start + _CHUNK_FRAMES, t)
+        d = sq[:, start:stop].transpose(1, 0, 2)
+        np.subtract(v[start:stop, idx], v_hat[start:stop, idx], out=d)
+        np.square(d, out=d)
+    return float(np.mean(sq))
+
+
 def _geo_terms(model: BlendshapeModel, v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
-    out = []
-    for name in ("lips", "face"):
-        idx = model.region(name)
-        out.append(float(np.mean((v[:, idx] - v_hat[:, idx]) ** 2)))
-    return out[0], out[1]
+    return _region_mse(v, v_hat, model.region("lips")), _region_mse(v, v_hat, model.region("face"))
+
+
+def _fill_squared_diff(sq: np.ndarray, v: np.ndarray, v_hat: np.ndarray, n: int) -> None:
+    """sq[i] = (np.diff(v, n, axis=0)[i] - np.diff(v_hat, n, axis=0)[i]) ** 2
+    for every row i of ``sq``, chunk by chunk."""
+    for start in range(0, sq.shape[0], _CHUNK_FRAMES):
+        stop = min(start + _CHUNK_FRAMES, sq.shape[0])
+        d = np.diff(v[start : stop + n], n, axis=0)
+        d -= np.diff(v_hat[start : stop + n], n, axis=0)
+        np.square(d, out=sq[start:stop])
 
 
 def _dyn_terms(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
-    vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
-    acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
-    l_vel = float(np.mean((vel - vel_hat) ** 2))
-    l_acc = float(np.mean((acc - acc_hat) ** 2))
-    return l_vel, l_acc
+    sq = np.empty((v.shape[0] - 1,) + v.shape[1:])
+    _fill_squared_diff(sq, v, v_hat, 1)
+    l_vel = float(np.mean(sq))
+    acc = sq[:-1]
+    _fill_squared_diff(acc, v, v_hat, 2)
+    return l_vel, float(np.mean(acc))
 
 
 def geo_loss(

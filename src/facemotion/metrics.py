@@ -33,14 +33,19 @@ class MetricsConfig:
     peak_min_distance: int = 3  # frames
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("fps", "epsilon"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.peak_min_prominence < 1.0:
             raise ValueError(f"peak_min_prominence must be in [0, 1), got {self.peak_min_prominence}")
-        if self.peak_min_distance < 1:
-            raise ValueError(f"peak_min_distance must be >= 1, got {self.peak_min_distance}")
+        distance = self.peak_min_distance
+        if isinstance(distance, bool) or not isinstance(distance, (int, np.integer)):
+            raise ValueError(f"peak_min_distance must be an integer, got {distance!r}")
+        if distance < 1:
+            raise ValueError(f"peak_min_distance must be >= 1, got {distance}")
 
     def to_dict(self) -> Dict[str, float]:
         return {

@@ -19,12 +19,14 @@ There is one implementation of it, batched over frames:
 
 ``zero_posed=True`` skips the global rotation (zero-pose space, where losses
 and metrics are computed). ``vertices`` is an optional 1-D index array
-selecting N' output vertices in the given order; the whole mesh is computed
-and the subset is gathered at the end, so callers keep only the rows they
-need. The result is batch-invariant and subset-invariant bit for bit: row i
-equals a 1-frame call on ``params[i]``, and a subset call equals the same
-columns of the full call. Motion is only ever a (T, 58) array and vertices
-a (T, N', 3) array; one frame is a 1-row call.
+selecting N' output vertices in the given order. Frames are rendered in
+blocks of ``_BLOCK_FRAMES``: each block's whole mesh is computed and posed,
+and the subset is gathered from it, before the next block starts, so a call
+holds only its (T, N', 3) output and a few block-sized buffers. The result
+is batch-invariant and subset-invariant bit for bit: row i equals a 1-frame
+call on ``params[i]``, and a subset call equals the same columns of the full
+call. That invariance is what makes the blocking exact. Motion is only ever
+a (T, 58) array and vertices a (T, N', 3) array; one frame is a 1-row call.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ CHANNEL_NAMES: List[str] = (
 
 REGION_NAMES = ("lips", "face", "upper_face")
 LANDMARK_NAMES = ("upper_lip", "lower_lip", "left_corner", "right_corner")
+
+# Frames per forward_batch block: large enough that the per-block numpy calls
+# cost little, small enough that a block of the whole mesh is a small share
+# of a long clip's output.
+_BLOCK_FRAMES = 128
 
 
 def _as_float_array(x, shape, name: str) -> np.ndarray:
@@ -202,6 +209,10 @@ def forward_batch(
     jaw product per frame over the whole jaw region, one global product per
     frame over the whole mesh. A rotation is applied only to frames whose
     pose is non-zero, since rotating by the identity is not exact.
+
+    The frames are processed in blocks of ``_BLOCK_FRAMES``. A full-mesh
+    call builds each block in place in its output; a subset call builds it
+    in one reused whole-mesh block buffer and gathers the subset from there.
     """
     p = np.asarray(params, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != FRAME_DIM:
@@ -209,11 +220,6 @@ def forward_batch(
     if not np.all(np.isfinite(p)):
         raise ValueError("motion params contain non-finite values")
     t, n = p.shape[0], model.num_vertices
-    jaw_on = np.flatnonzero(np.any(p[:, JAW_SLICE], axis=1))
-    glob_on = np.flatnonzero(np.any(p[:, GLOBAL_SLICE], axis=1)) if not zero_posed else np.empty(0, np.intp)
-
-    v = np.matmul(model.expr_basis.reshape(3 * n, EXPRESSION_DIM), p[:, EXPRESSION_SLICE, None]).reshape(t, n, 3)
-    eyelid = np.matmul(model.eyelid_basis.reshape(3 * n, EYELID_DIM), p[:, EYELID_SLICE, None]).reshape(t, n, 3)
     out_idx = None
     if vertices is not None:
         out_idx = np.asarray(vertices, dtype=np.intp)
@@ -221,21 +227,34 @@ def forward_batch(
             raise IncompatibleShapeError(f"vertices must be 1-D indices, got shape {out_idx.shape}")
         if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n):
             raise ModelConfigError(f"vertex indices out of range for {n} vertices")
-    v += model.template
-    v += eyelid
-    del eyelid
 
-    if jaw_on.size:
-        sel = (jaw_on[:, None], model.jaw_region)
-        rot_t = axis_angle_matrix(p[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
-        v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
-    if glob_on.size:
-        v[glob_on] = np.matmul(v[glob_on], axis_angle_matrix(p[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1))
-    if out_idx is not None:
-        v = np.take(v, out_idx, axis=1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vertices contain non-finite values")
-    return v
+    out = np.empty((t, n if out_idx is None else out_idx.size, 3))
+    block = min(t, _BLOCK_FRAMES)
+    expr_basis = model.expr_basis.reshape(3 * n, EXPRESSION_DIM)
+    eyelid_basis = model.eyelid_basis.reshape(3 * n, EYELID_DIM)
+    eyelid = np.empty((block, n, 3))
+    mesh = None if out_idx is None else np.empty((block, n, 3))
+    for start in range(0, t, _BLOCK_FRAMES):
+        pb = p[start : start + _BLOCK_FRAMES]
+        k = pb.shape[0]
+        v = out[start : start + k] if mesh is None else mesh[:k]
+        np.matmul(expr_basis, pb[:, EXPRESSION_SLICE, None], out=v.reshape(k, 3 * n, 1))
+        np.matmul(eyelid_basis, pb[:, EYELID_SLICE, None], out=eyelid[:k].reshape(k, 3 * n, 1))
+        v += model.template
+        v += eyelid[:k]
+        jaw_on = np.flatnonzero(np.any(pb[:, JAW_SLICE], axis=1))
+        if jaw_on.size:
+            sel = (jaw_on[:, None], model.jaw_region)
+            rot_t = axis_angle_matrix(pb[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
+            v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
+        glob_on = np.empty(0, np.intp) if zero_posed else np.flatnonzero(np.any(pb[:, GLOBAL_SLICE], axis=1))
+        if glob_on.size:
+            v[glob_on] = np.matmul(v[glob_on], axis_angle_matrix(pb[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1))
+        if mesh is not None:
+            np.take(v, out_idx, axis=1, out=out[start : start + k])
+        if not np.all(np.isfinite(out[start : start + k])):
+            raise ValueError("vertices contain non-finite values")
+    return out
 
 
 def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:

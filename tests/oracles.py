@@ -285,3 +285,15 @@ def peaks_outward_scan(x: Sequence[float], min_prominence_frac: float, min_dista
         if all(abs(i - a) >= min_distance for a in accepted):
             accepted.append(i)
     return np.array(sorted(accepted), dtype=np.int64)
+
+
+def region_mse_formula(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
+    """A region's vertex loss as one expression over the gathered arrays."""
+    return float(np.mean((v[:, idx] - v_hat[:, idx]) ** 2))
+
+
+def dyn_terms_formula(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
+    """(l_vel, l_acc) from whole velocity and acceleration arrays."""
+    vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
+    acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
+    return float(np.mean((vel - vel_hat) ** 2)), float(np.mean((acc - acc_hat) ** 2))

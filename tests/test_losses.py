@@ -246,6 +246,13 @@ def test_loss_weights_reject_nan(name):
         losses.LossWeights(**{name: float("nan")})
 
 
+@pytest.mark.parametrize("name", ["w_param", "w_geo", "w_dyn", "lambda_vq"])
+def test_loss_weights_reject_inf(name):
+    # an infinite weight times a zero term made l_rec NaN on identical motion
+    with pytest.raises(ValueError, match=name):
+        losses.LossWeights(**{name: float("inf")})
+
+
 def test_gamma_is_the_codec_setting(seed0_model, rng):
     assert not hasattr(losses.LossWeights(), "gamma")
     a, b = seeded_pair(rng, t=6)

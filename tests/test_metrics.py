@@ -326,3 +326,17 @@ def test_metrics_config_validation():
         metrics.MetricsConfig(peak_min_prominence=1.5)
     with pytest.raises(ValueError):
         metrics.MetricsConfig(peak_min_distance=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"fps": float("inf")}, "fps"),  # made peak_align_ms 0.0
+        ({"epsilon": float("inf")}, "epsilon"),  # made liveliness_ratio 0.0
+        ({"peak_min_distance": 2.5}, "peak_min_distance"),  # a TypeError in detect_peaks
+        ({"peak_min_distance": True}, "peak_min_distance"),
+    ],
+)
+def test_metrics_config_rejects_values_that_used_to_pass(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        metrics.MetricsConfig(**kwargs)

@@ -1,6 +1,6 @@
-"""Property tests (hypothesis) for the batched forward model, peak picking,
-the nearest-codeword search, k-means++ seeding, the stream's retrieval
-predictor and the binary and text loaders."""
+"""Property tests (hypothesis) for the batched forward model, the streamed
+loss terms, peak picking, the nearest-codeword search, k-means++ seeding,
+the stream's retrieval predictor and the binary and text loaders."""
 
 import json
 import math
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import fileio, metrics, rvq, streamsim  # noqa: E402
+from facemotion import fileio, losses, metrics, rvq, streamsim  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 from facemotion.errors import FormatError  # noqa: E402
 from test_fileio import LOADERS, _valid_blob, _valid_csv_lines, _valid_model_doc  # noqa: E402
@@ -23,15 +23,22 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+BLOCK = mc._BLOCK_FRAMES
+CHUNK = losses._CHUNK_FRAMES
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    t=st.sampled_from([1, 2, 25, 300]),
+    t=st.sampled_from([1, 2, 25, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
     seed=st.integers(0, 2**32 - 1),
     p_jaw=st.sampled_from([0.0, 0.5, 1.0]),
     p_global=st.sampled_from([0.0, 0.5, 1.0]),
     zero_posed=st.booleans(),
 )
+@example(t=2 * BLOCK + 1, seed=0, p_jaw=0.5, p_global=0.5, zero_posed=False)
 def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_jaw, p_global, zero_posed):
+    # lengths on either side of the frame block size check that blocking
+    # changes no bit, with posed and unposed frames in the same block
     rng = np.random.default_rng(seed)
     params = rng.uniform(-0.3, 0.3, size=(t, 58))
     params[rng.random(t) >= p_jaw, 50:53] = 0.0
@@ -43,9 +50,35 @@ def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_ja
         one = mc.forward_batch(seed0_model, params[i : i + 1], zero_posed=zero_posed)
         assert _bits(one[0]) == _bits(full[i])
     subset = rng.choice(seed0_model.num_vertices, size=rng.integers(1, 12))
+    subset = rng.permutation(np.append(subset, subset[0]))  # at least one repeat
     sub = mc.forward_batch(seed0_model, params, zero_posed=zero_posed, vertices=subset)
     assert sub.flags.c_contiguous
     assert _bits(sub) == _bits(full[:, subset])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t=st.sampled_from([3, 4, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2]),
+    region=st.sampled_from(["one", "unsorted", "lips", "face", "upper_face"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e5]),
+)
+def test_streamed_loss_terms_equal_plain_formulas_bit_for_bit(seed0_model, t, region, seed, scale):
+    # random values make every summation order give different last bits, so
+    # equal bits mean the streamed buffers are summed in the plain order
+    rng = np.random.default_rng(seed)
+    n = seed0_model.num_vertices
+    v = rng.standard_normal((t, n, 3)) * scale
+    v_hat = v + rng.standard_normal((t, n, 3)) * scale * rng.choice([1e-3, 1.0])
+    if region == "one":
+        idx = rng.integers(0, n, size=1)
+    elif region == "unsorted":
+        idx = rng.choice(n, size=rng.integers(2, n), replace=bool(rng.integers(2)))
+    else:
+        idx = seed0_model.region(region)
+    assert _bits(losses._region_mse(v, v_hat, idx)) == _bits(oracles.region_mse_formula(v, v_hat, idx))
+    got = losses._dyn_terms(v, v_hat)
+    assert _bits(np.array(got)) == _bits(np.array(oracles.dyn_terms_formula(v, v_hat)))
 
 
 @settings(max_examples=500, deadline=None)
