@@ -221,16 +221,26 @@ def cmd_gen_data(args, config) -> Outcome:
 def cmd_fit_codec(args, config) -> Outcome:
     qcfg = rvq.QuantizerConfig(**_settings(args, config, "quantizer"))
     corpus = [_load_motion_any(p) for p in args.motion]
-    proj, cb = rvq.fit_codec(corpus, qcfg)
+    proj, cb, history = rvq.fit_codec(corpus, qcfg, return_history=True)
+    out = _out_dir(args)
+    cb_path = out / "codebook.a2cb"
+    fileio.save_codebook(cb_path, cb, proj, qcfg)
+
+    # Report on the f32 codec as saved, so the norms match encode of the file.
+    cb, proj, saved = fileio.load_codebook(cb_path)
     latents = np.vstack([rvq.window_encode(m, proj, qcfg).vectors for m in corpus])
     z = rvq.LatentSequence(latents, fps_latent=corpus[0].fps / qcfg.group_size)
     tokens, level_norms = rvq.rvq_encode(z, cb, group_size=qcfg.group_size)
     q = rvq.rvq_decode(tokens, cb, fps_latent=z.fps_latent)
-    codebook_term, commit_term, vq_total = rvq.commitment_loss(z, q, qcfg.gamma)
-
-    out = _out_dir(args)
-    cb_path = out / "codebook.a2cb"
-    fileio.save_codebook(cb_path, cb, proj, qcfg)
+    codebook_term, commit_term, vq_total = rvq.commitment_loss(z, q, saved.gamma)
+    levels = [
+        {
+            "lloyd_iterations": len(h) - 1,
+            "stop": rvq.lloyd_stop(h),
+            "distinct_codewords": int(np.unique(entries, axis=0).shape[0]),
+        }
+        for h, entries in zip(history, cb.entries)
+    ]
     return Outcome(
         f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})",
         outputs={"codebook": cb_path},
@@ -242,6 +252,7 @@ def cmd_fit_codec(args, config) -> Outcome:
             "commit_term": commit_term,
             "quantizer_objective": vq_total,
             "lambda_vq": 1.0,  # commitment_loss adds its two terms with unit weight
+            "levels": levels,
         },
     )
 

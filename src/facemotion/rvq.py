@@ -2,12 +2,14 @@
 
 Motion frames are grouped G at a time, each window flattened frame-major and
 mapped through an affine encode map into a latent space, where N_q stacked
-codebooks quantize successive residuals. Codebooks are trained with
-EMA-updated Lloyd iterations after a seeded k-means++ initialization; the
-encode/decode maps are fit by PCA over the flattened windows. Encoding and
-training pick codewords with one routine, ``_nearest_indices``: exact
-squared distances from explicit differences, lowest index on ties. The
-quantizer commitment objective is computed as a diagnostic only.
+codebooks quantize successive residuals. Each level is seeded by greedy
+k-means++ and refined by full-batch Lloyd with a fixed step cap, re-seeding
+codes left below the dead-code count to distinct points and keeping the
+best iterate; the encode/decode maps are fit by PCA over the flattened
+windows. Encoding and training pick codewords with one routine,
+``_nearest_indices``: exact squared distances from explicit differences,
+lowest index on ties. The quantizer commitment objective is computed as a
+diagnostic only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class QuantizerConfig:
     codebook_size: int = 256
     latent_dim: int = 256
     gamma: float = 0.25
-    ema_decay: float = 0.99
     dead_code_threshold: float = 1.0
     seed: int = 0
 
@@ -39,8 +40,6 @@ class QuantizerConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ValueError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
         if self.dead_code_threshold < 0:
             raise ValueError(f"dead_code_threshold must be >= 0, got {self.dead_code_threshold}")
 
@@ -130,7 +129,7 @@ class TokenSequence:
 
 @dataclass
 class Codebook:
-    """Stacked per-level codebooks with EMA usage counts."""
+    """Stacked per-level codebooks with per-code training point counts."""
 
     entries: np.ndarray  # (N_q, K, d_z)
     usage: np.ndarray = None
@@ -344,146 +343,127 @@ def shifted_windows(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> n
     return np.vstack(chunks)
 
 
-def fit_codec(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> Tuple[WindowProjection, Codebook]:
+def fit_codec(corpus: Sequence[MotionSequence], cfg: QuantizerConfig, return_history: bool = False):
     """Fit projections, then train codebooks on the encoded windows of every shift.
 
     The codebooks see every temporal shift of the training windows, which
     keeps deeper quantizer levels informative when the corpus is small
-    relative to the codebook size.
+    relative to the codebook size. Returns (proj, cb), or with
+    return_history (proj, cb, per-level Lloyd distortions).
     """
     proj = fit_projections(corpus, cfg)
     latents = shifted_windows(corpus, cfg) @ proj.encode_w.T + proj.encode_b
+    if return_history:
+        return (proj, *train_codebooks(latents, cfg, return_history=True))
     return proj, train_codebooks(latents, cfg)
 
 
-def _candidate_rngs(seed_key: Sequence[int]) -> List[np.random.Generator]:
-    """One independent generator per k-means++ candidate, keyed (*seed_key, r)."""
-    return [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence([*seed_key, r])))
-        for r in range(_INIT_CANDIDATES)
-    ]
+# Trial points per greedy k-means++ step (Arthur & Vassilvitskii, 2007,
+# suggest 2 + ln k) and the Lloyd step cap, both chosen from held-out scores
+# and fit times over several corpora (BENCH_12.json).
+_SEED_TRIALS = 2
+_LLOYD_CAP = 12
+_REL_TOL = 1e-6
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """k-means++ seeding of one candidate per generator, all run in lock-step.
+def _greedy_kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Greedy k-means++ seeding; returns the k chosen point indices.
 
-    Returns the (R, k) indices of the chosen points. Each step scores the R
-    new centers against every point with one (R, d) x (d, n) GEMM. A pick is
-    drawn the way Generator.choice(n, p=closest/total) draws it, without its
-    argument checks: the normalized cumulative sum is searched for one
-    uniform variate. Each generator thus makes the same draws as a serial
-    run of its own candidate.
+    The first pick is uniform. Each later step draws _SEED_TRIALS points
+    the way Generator.choice(n, size, p=closest/total) draws them (each
+    uniform variate searched in the normalized cumulative sum) and scores
+    them with one (trials, d) x (d, n) GEMM. The trial whose pick leaves the
+    lowest potential sum(min(closest, d2)) is kept, ties to the lowest point
+    index. A trial's distance to itself is set to 0, so a picked point is
+    never drawn again while any point lies off every center; once all do,
+    the remaining codes repeat the first pick.
     """
     n = points.shape[0]
-    picks = np.empty((len(rngs), k), dtype=np.int64)
+    picks = np.empty(k, dtype=np.int64)
     p2 = np.einsum("nd,nd->n", points, points)
+    points_t = np.ascontiguousarray(points.T)  # 1-thread OpenBLAS ran this few-row GEMM 3x slower on points.T
 
     def dist_to(idx: np.ndarray) -> np.ndarray:
-        return np.maximum(p2 - 2.0 * (points[idx] @ points.T) + p2[idx, None], 0.0)
+        d2 = np.maximum(p2 - 2.0 * (points[idx] @ points_t) + p2[idx, None], 0.0)
+        d2[np.arange(idx.size), idx] = 0.0
+        return d2
 
-    picks[:, 0] = [rng.integers(n) for rng in rngs]
-    closest = dist_to(picks[:, 0])
+    picks[0] = rng.integers(n)
+    closest = dist_to(picks[:1])[0]
     for j in range(1, k):
-        for r, rng in enumerate(rngs):
-            total = float(closest[r].sum())
-            if total <= 0.0:
-                picks[r, j] = rng.integers(n)
-            else:
-                cdf = np.cumsum(closest[r] / total)
-                cdf /= cdf[-1]
-                picks[r, j] = cdf.searchsorted(rng.random(), side="right")
-        np.minimum(closest, dist_to(picks[:, j]), out=closest)
+        total = float(closest.sum())
+        if total <= 0.0:
+            picks[j:] = picks[0]
+            break
+        cdf = np.cumsum(closest / total)
+        cdf /= cdf[-1]
+        cand = cdf.searchsorted(rng.random(_SEED_TRIALS), side="right")
+        d2 = dist_to(cand)
+        np.minimum(d2, closest, out=d2)
+        best = np.lexsort((cand, d2.sum(axis=1)))[0]
+        picks[j] = cand[best]
+        closest = d2[best]
     return picks
 
 
-_MAX_ITERS = 200
-_REL_TOL = 1e-6
-_INIT_CANDIDATES = 8
-_PILOT_ITERS = 15
-
-
 def _cluster_sums(points: np.ndarray, idx: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster sums and counts, accumulated in original point order."""
-    counts = np.bincount(idx, minlength=k).astype(np.float64)
-    sums = np.zeros((k, points.shape[1]))
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    sums[sorted_idx[starts]] = np.add.reduceat(points[order], starts, axis=0)
-    return sums, counts
+    """Per-cluster sums and counts; each sum adds its points one by one in point order."""
+    d = points.shape[1]
+    bins = (idx * d)[:, None] + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+    return sums, np.bincount(idx, minlength=k).astype(np.float64)
 
 
-class _EmaState:
-    """Zero-initialized EMA accumulators over batch sums and counts.
+def _improved(prev: float, cur: float) -> bool:
+    return prev - cur >= _REL_TOL * max(prev, 1e-30)
 
-    Centers are the ratio of the two accumulators, so the decay bias cancels
-    (both carry the same 1 - decay^t factor) and, with stable assignments,
-    centers equal the batch means from the first update on. The bias-corrected
-    counts estimate the running per-cluster population for the dead-code rule.
+
+def lloyd_stop(history: Sequence[float]) -> str:
+    """Why a level's Lloyd run ended, read from its distortion history.
+
+    "converged" when its last step did not improve by the relative
+    tolerance, else "cap" (the step cap was reached).
     """
-
-    def __init__(self, centers: np.ndarray):
-        self.centers = centers
-        self.ema_sum = np.zeros_like(centers)
-        self.ema_cnt = np.zeros(centers.shape[0])
-        self.updates = 0
+    return "converged" if len(history) > 1 and not _improved(history[-2], history[-1]) else "cap"
 
 
-def _ema_iterate(points, state: _EmaState, cfg, max_iters, history):
-    """Run EMA Lloyd iterations until convergence or max_iters; returns done."""
-    d = cfg.ema_decay
-    prev = history[-1] if history else None
-    for _ in range(max_iters):
-        idx, best = _nearest_indices(points, state.centers)
-        distortion = float(best.mean())
-        history.append(distortion)
-        if prev is not None and prev - distortion < _REL_TOL * max(prev, 1e-30):
-            return True
-        prev = distortion
-
-        sums, counts = _cluster_sums(points, idx, state.centers.shape[0])
-        state.ema_cnt = d * state.ema_cnt + (1.0 - d) * counts
-        state.ema_sum = d * state.ema_sum + (1.0 - d) * sums
-        state.updates += 1
-        state.centers = state.ema_sum / np.maximum(state.ema_cnt, 1e-30)[:, None]
-
-        scale = 1.0 - d**state.updates
-        dead = np.flatnonzero(state.ema_cnt < cfg.dead_code_threshold * scale)
-        if dead.size:
-            # Re-seed dead codes to the points farthest from their assignment.
-            order = np.argsort(-best, kind="stable")
-            for rank, code in enumerate(dead):
-                src = points[order[rank % points.shape[0]]]
-                state.centers[code] = src
-                state.ema_sum[code] = src * scale
-                state.ema_cnt[code] = scale
-    return False
-
-
-def _ema_kmeans(
-    points: np.ndarray, k: int, cfg: QuantizerConfig, seed_key: Sequence[int]
+def _lloyd(
+    points: np.ndarray, centers: np.ndarray, dead_code_threshold: float
 ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
-    """Seeded k-means++ with EMA Lloyd refinement.
+    """Full-batch Lloyd from the seeded centers.
 
-    Several k-means++ candidates, each drawn from its own seeded generator
-    and all seeded in lock-step, run a short pilot; the one with the lowest
-    pilot distortion continues to convergence (or the iteration cap). Ties
-    go to the lowest candidate index, so the result is deterministic for a
-    given seed.
+    Each step moves every code to the mean of its points. Codes whose count
+    in this pass is below dead_code_threshold are re-seeded instead, in code
+    order, to the points farthest from their nearest center, skipping points
+    a center covers exactly and copies of a point already taken. The run
+    stops at the first step that does not improve the distortion by
+    _REL_TOL, or after _LLOYD_CAP steps. Every step before the last improved,
+    so the best iterate is the last or the one before it (the earlier on a
+    tie). Returns its centers and assignment and the distortion of every
+    iterate.
     """
-    init = _kmeans_pp_init(points, k, _candidate_rngs(seed_key))
-    best = None
-    for r in range(_INIT_CANDIDATES):
-        state = _EmaState(points[init[r]])
-        history: List[float] = []
-        done = _ema_iterate(points, state, cfg, _PILOT_ITERS, history)
-        if best is None or (history[-1], r) < best[0]:
-            best = ((history[-1], r), state, done, history)
-    _, state, done, history = best
-    if not done:
-        _ema_iterate(points, state, cfg, _MAX_ITERS - _PILOT_ITERS, history)
-    usage = state.ema_cnt / max(1.0 - cfg.ema_decay**state.updates, 1e-30)
-    return state.centers, usage, history
+    idx, dist = _nearest_indices(points, centers)
+    history = [float(dist.mean())]
+    best = (centers, idx)
+    for _ in range(_LLOYD_CAP):
+        sums, counts = _cluster_sums(points, idx, centers.shape[0])
+        centers = centers.copy()
+        live = counts > 0
+        centers[live] = sums[live] / counts[live, None]
+        dead = np.flatnonzero(counts < dead_code_threshold)
+        if dead.size:
+            order = np.argsort(-dist, kind="stable")
+            order = order[dist[order] > 0.0]
+            _, first = np.unique(points[order], axis=0, return_index=True)
+            src = order[np.sort(first)[: dead.size]]
+            centers[dead[: src.size]] = points[src]
+        idx, dist = _nearest_indices(points, centers)
+        history.append(float(dist.mean()))
+        if history[-1] < history[-2]:
+            best = (centers, idx)
+        if not _improved(history[-2], history[-1]):
+            break
+    return best[0], best[1], history
 
 
 def train_codebooks(
@@ -491,20 +471,29 @@ def train_codebooks(
     cfg: QuantizerConfig,
     return_history: bool = False,
 ):
-    """Train N_q residual codebooks with encoding's exact metric; deterministic for a given cfg.seed."""
+    """Train N_q residual codebooks with encoding's exact metric; deterministic for a given cfg.seed.
+
+    Level j is seeded by greedy k-means++ from its own generator,
+    SeedSequence([cfg.seed, j]), then refined by full-batch Lloyd on the
+    residuals the levels before it leave. usage holds each code's point
+    count under the returned codebook. With return_history, also returns
+    each level's list of Lloyd distortions (see lloyd_stop).
+    """
     vectors = latents.vectors if isinstance(latents, LatentSequence) else np.asarray(latents, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training batch must be a nonempty (M, d_z) array")
+    k = cfg.codebook_size
     residual = vectors.copy()
-    entries = np.empty((cfg.num_levels, cfg.codebook_size, vectors.shape[1]))
-    usage = np.empty((cfg.num_levels, cfg.codebook_size))
+    entries = np.empty((cfg.num_levels, k, vectors.shape[1]))
+    usage = np.empty((cfg.num_levels, k))
     histories: List[List[float]] = []
     for j in range(cfg.num_levels):
-        centers, ema_cnt, history = _ema_kmeans(residual, cfg.codebook_size, cfg, (cfg.seed, j))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, j])))
+        picks = _greedy_kmeans_pp(residual, k, rng)
+        centers, idx, history = _lloyd(residual, residual[picks], cfg.dead_code_threshold)
         entries[j] = centers
-        usage[j] = ema_cnt
+        usage[j] = np.bincount(idx, minlength=k)
         histories.append(history)
-        idx, _ = _nearest_indices(residual, centers)
         residual -= centers[idx]
     cb = Codebook(entries, usage)
     if return_history:

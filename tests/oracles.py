@@ -80,33 +80,37 @@ def gather_sum(indices: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     return out
 
 
-def kmeans_pp_serial(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding of one candidate on its own: one GEMV per step and a
-    Generator.choice draw per distance-weighted pick. Returns the k chosen
-    point indices."""
+def greedy_kmeans_pp_serial(points: np.ndarray, k: int, rng: np.random.Generator, trials: int = 2) -> np.ndarray:
+    """Greedy k-means++ seeding, one trial at a time: a Generator.choice draw
+    of `trials` points per step, one GEMV per trial, and a scan that keeps
+    the trial leaving the lowest potential (lowest point index on ties). A
+    point's distance to itself is 0; once every point lies on a center, the
+    remaining picks repeat the first. Returns the k chosen point indices."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     picks = np.empty(k, dtype=np.int64)
     p2 = np.einsum("nd,nd->n", points, points)
 
     def dist_to(i):
-        return np.maximum(p2 - 2.0 * (points @ points[i]) + p2[i], 0.0)
+        d = np.maximum(p2 - 2.0 * (points @ points[i]) + p2[i], 0.0)
+        d[i] = 0.0
+        return d
 
     picks[0] = rng.integers(n)
     closest = dist_to(picks[0])
     for j in range(1, k):
         total = float(closest.sum())
         if total <= 0.0:
-            picks[j] = rng.integers(n)
-        else:
-            picks[j] = rng.choice(n, p=closest / total)
-        np.minimum(closest, dist_to(picks[j]), out=closest)
+            picks[j:] = picks[0]
+            break
+        best = None
+        for c in rng.choice(n, size=trials, p=closest / total):
+            lowered = np.minimum(closest, dist_to(c))
+            potential = float(lowered.sum())
+            if best is None or potential < best[0] or (potential == best[0] and c < best[1]):
+                best = (potential, c, lowered)
+        _, picks[j], closest = best
     return picks
-
-
-def seeded_generators(seed_key: Sequence[int], count: int) -> List[np.random.Generator]:
-    """Generator r of count keyed SeedSequence([*seed_key, r])."""
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence([*seed_key, r]))) for r in range(count)]
 
 
 class CoarseGenerator(np.random.Generator):

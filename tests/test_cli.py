@@ -106,6 +106,45 @@ def test_fit_codec_rerun_is_byte_identical(tmp_path):
     a = fit(tmp_path, out / "motion.a2mo", "c1")
     b = fit(tmp_path, out / "motion.a2mo", "c2")
     assert a.read_bytes() == b.read_bytes()
+    results = [json.loads((p.parent / "fit-codec.manifest.json").read_text())["results"] for p in (a, b)]
+    assert json.dumps(results[0]) == json.dumps(results[1])
+
+
+def test_fit_codec_residual_norms_equal_encode_of_the_saved_file(tmp_path):
+    out = gen(tmp_path, frames=60)
+    cb_path = fit(tmp_path, out / "motion.a2mo", levels=3, codebook_size=8, latent_dim=16)
+    enc = tmp_path / "enc"
+    assert run("encode", "--out", enc, "--codebook", cb_path, "--motion", out / "motion.a2mo") == 0
+    fitted = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())["results"]
+    encoded = json.loads((enc / "encode.manifest.json").read_text())["results"]
+    assert fitted["residual_norms"] == encoded["residual_norms"]  # floats survive JSON bit for bit
+
+
+def test_fit_codec_manifest_reports_each_levels_fit(tmp_path):
+    out = gen(tmp_path, frames=60)
+    cb_path = fit(tmp_path, out / "motion.a2mo", levels=3, codebook_size=8, latent_dim=16)
+    levels = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())["results"]["levels"]
+    cfg = rvq.QuantizerConfig(num_levels=3, codebook_size=8, latent_dim=16, seed=0)
+    _, cb, history = rvq.fit_codec([fileio.load_motion(out / "motion.a2mo")], cfg, return_history=True)
+    saved, _, _ = fileio.load_codebook(cb_path)
+    assert levels == [
+        {"lloyd_iterations": len(h) - 1, "stop": rvq.lloyd_stop(h),
+         "distinct_codewords": len(np.unique(entries, axis=0))}
+        for h, entries in zip(history, saved.entries)
+    ]
+    assert all(level["stop"] in ("converged", "cap") and level["distinct_codewords"] <= 8 for level in levels)
+
+
+def test_ema_decay_is_gone(tmp_path, capsys):
+    out = gen(tmp_path, frames=10)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit-codec", "--motion", str(out / "motion.a2mo"), "--ema-decay", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ema-decay 0.5" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quantizer": {"ema_decay": 0.5}}))
+    assert run("fit-codec", "--out", tmp_path / "codec", "--motion", out / "motion.a2mo", "--config", cfg) == 3
+    assert "unknown key 'ema_decay' in config section 'quantizer'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +610,9 @@ def test_config_value_beats_default_and_flag_beats_config(tmp_path, pipeline, se
 
 def test_codebook_commands_do_not_echo_quantizer_settings_the_file_lacks(tmp_path):
     data = gen(tmp_path, frames=20)
-    cb_path = fit(tmp_path, data / "motion.a2mo", ema_decay=0.5, dead_code_threshold=0.2, seed=7)
+    cb_path = fit(tmp_path, data / "motion.a2mo", dead_code_threshold=2.0, seed=7)
     fit_manifest = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())
-    assert fit_manifest["config"]["quantizer"]["ema_decay"] == 0.5
+    assert fit_manifest["config"]["quantizer"]["dead_code_threshold"] == 2.0
     enc, dec, stream = tmp_path / "enc", tmp_path / "dec", tmp_path / "stream"
     assert run("encode", "--out", enc, "--codebook", cb_path, "--motion", data / "motion.a2mo") == 0
     assert run("decode", "--out", dec, "--codebook", cb_path, "--tokens", enc / "tokens.a2tk") == 0

@@ -1,6 +1,7 @@
 """Property tests (hypothesis) for the batched forward model, the streamed
 loss terms, peak picking, the nearest-codeword search, k-means++ seeding,
-the stream's retrieval predictor and the binary and text loaders."""
+Lloyd refinement, the stream's retrieval predictor and the binary and text
+loaders."""
 
 import json
 import math
@@ -194,23 +195,56 @@ def test_retrieval_stacked_distances_match_per_key_scan(s, d, seed, copies, grid
 @example(n=5, k=1, d=2, spread=2, copies=0, key=(0, 0), coarse=True)
 @example(n=3, k=8, d=2, spread=1, copies=2, key=(1, 2), coarse=True)
 @example(n=4, k=6, d=3, spread=0, copies=0, key=(7, 1), coarse=False)
-def test_kmeans_pp_lock_step_matches_serial_oracle(n, k, d, spread, copies, key, coarse):
+@example(n=12, k=16, d=1, spread=3, copies=8, key=(3, 4), coarse=True)
+def test_greedy_kmeans_pp_matches_serial_oracle(n, k, d, spread, copies, key, coarse):
     # small-integer grids make every distance exact; spread 0 and duplicate
     # points leave all remaining distances zero (total <= 0), n + copies < k
     # runs out of distinct points; coarse draws hit cdf boundaries, 0 included
     rng = np.random.default_rng(key)
     points = rng.integers(-spread, spread + 1, size=(n, d)).astype(np.float64)
     points = np.vstack([points, points[rng.integers(0, n, size=copies)]])[rng.permutation(n + copies)]
-    lock = rvq._candidate_rngs(key)
-    serial = oracles.seeded_generators(key, len(lock))
+    lib, serial = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key)))) for _ in range(2))
     if coarse:
-        lock = [oracles.CoarseGenerator(g.bit_generator) for g in lock]
-        serial = [oracles.CoarseGenerator(g.bit_generator) for g in serial]
-    picks = rvq._kmeans_pp_init(points, k, lock)
-    assert picks.dtype == np.int64 and picks.shape == (len(lock), k)
-    for r, (a, b) in enumerate(zip(lock, serial)):
-        assert picks[r].tolist() == oracles.kmeans_pp_serial(points, k, b).tolist()
-        assert a.bit_generator.state == b.bit_generator.state
+        lib, serial = oracles.CoarseGenerator(lib.bit_generator), oracles.CoarseGenerator(serial.bit_generator)
+    picks = rvq._greedy_kmeans_pp(points, k, lib)
+    assert picks.dtype == np.int64 and picks.shape == (k,)
+    assert picks.tolist() == oracles.greedy_kmeans_pp_serial(points, k, serial).tolist()
+    assert lib.bit_generator.state == serial.bit_generator.state
+    # no point (nor a copy of one) is picked twice while another lies off
+    # every center; after that the picks repeat the first
+    distinct = min(k, np.unique(points, axis=0).shape[0])
+    assert np.unique(points[picks[:distinct]], axis=0).shape[0] == distinct
+    assert set(picks[distinct:].tolist()) <= {int(picks[0])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 12),
+    d=st.integers(1, 3),
+    copies=st.integers(0, 10),
+    grid=st.booleans(),
+    threshold=st.sampled_from([0.0, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=6, d=2, copies=0, grid=False, threshold=1.0, seed=0)
+def test_lloyd_history_falls_until_it_stops_and_the_best_iterate_is_kept(n, k, d, copies, grid, threshold, seed):
+    # a code with fewer points than the threshold is re-seeded even when it
+    # has some, which can raise the distortion: the run then stops there and
+    # returns the best iterate, whose distortion is the history's minimum
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 3, size=(n, d)).astype(np.float64) if grid else rng.standard_normal((n, d))
+    points = np.vstack([points, points[rng.integers(0, n, size=copies)]])
+    cfg = rvq.QuantizerConfig(num_levels=1, codebook_size=k, latent_dim=d, dead_code_threshold=threshold, seed=seed)
+    cb, histories = rvq.train_codebooks(points, cfg, return_history=True)
+    h = histories[0]
+    assert 1 <= len(h) <= rvq._LLOYD_CAP + 1
+    assert all(cur < prev for prev, cur in zip(h[:-2], h[1:-1]))
+    if len(h) <= rvq._LLOYD_CAP:  # ended before the cap
+        assert rvq.lloyd_stop(h) == "converged"
+    idx, dist = rvq._nearest_indices(points, cb.entries[0])
+    assert float(dist.mean()) == min(h)
+    assert cb.usage[0].tolist() == np.bincount(idx, minlength=k).tolist()
 
 
 @settings(max_examples=300, deadline=None)

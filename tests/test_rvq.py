@@ -306,17 +306,17 @@ def test_fit_projections_empty_corpus():
 
 def test_train_single_codeword_is_mean(rng):
     pts = rng.standard_normal((40, 3))
-    cfg = small_cfg(num_levels=1, codebook_size=1, latent_dim=3, ema_decay=1e-9)
-    cb = rvq.train_codebooks(pts, cfg)
-    np.testing.assert_allclose(cb.entries[0, 0], pts.mean(axis=0), rtol=1e-6, atol=1e-9)
-    # default decay converges near the mean as well, just more slowly
-    cb_default = rvq.train_codebooks(pts, small_cfg(num_levels=1, codebook_size=1, latent_dim=3))
-    np.testing.assert_allclose(cb_default.entries[0, 0], pts.mean(axis=0), rtol=0, atol=5e-2)
+    cfg = small_cfg(num_levels=1, codebook_size=1, latent_dim=3)
+    cb, histories = rvq.train_codebooks(pts, cfg, return_history=True)
+    np.testing.assert_allclose(cb.entries[0, 0], pts.mean(axis=0), rtol=1e-12, atol=1e-15)
+    # one Lloyd step reaches the mean; the next cannot improve on it
+    assert len(histories[0]) == 3 and rvq.lloyd_stop(histories[0]) == "converged"
+    assert cb.usage.tolist() == [[40.0]]
 
 
 def test_train_one_codeword_per_point_reaches_zero_distortion(rng):
     pts = rng.standard_normal((6, 3))
-    cfg = small_cfg(num_levels=1, codebook_size=6, latent_dim=3, ema_decay=1e-9)
+    cfg = small_cfg(num_levels=1, codebook_size=6, latent_dim=3)
     cb = rvq.train_codebooks(pts, cfg)
     tokens, norms = rvq.rvq_encode(rvq.LatentSequence(pts), cb)
     assert norms[0] <= 1e-9
@@ -333,19 +333,50 @@ def test_train_quality_vs_multi_restart_lloyd_oracle(rng):
     assert distortion <= 1.05 * oracle_best
 
 
-def test_kmeans_pp_lock_step_matches_serial_oracle_on_codec_latents():
-    # real-valued latents: the lock-step GEMM and the oracle's GEMVs round
-    # independently, and the picks must still agree
-    motion = synth.make_motion(synth.SynthConfig(seed=1, duration_frames=1000))
+def _codec_latents(seed=1, frames=1000):
+    motion = synth.make_motion(synth.SynthConfig(seed=seed, duration_frames=frames))
     cfg = rvq.QuantizerConfig()
     proj = rvq.fit_projections([motion], cfg)
-    latents = rvq.shifted_windows([motion], cfg) @ proj.encode_w.T + proj.encode_b
-    lock = rvq._candidate_rngs((cfg.seed, 0))
-    picks = rvq._kmeans_pp_init(latents, cfg.codebook_size, lock)
-    serial = oracles.seeded_generators((cfg.seed, 0), len(lock))
-    for r in range(len(lock)):
-        expected = oracles.kmeans_pp_serial(latents, cfg.codebook_size, serial[r])
-        assert picks[r].tolist() == expected.tolist(), f"candidate {r}"
+    return rvq.shifted_windows([motion], cfg) @ proj.encode_w.T + proj.encode_b, cfg
+
+
+def _level_rng(cfg, level, coarse=False):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, level])))
+    return oracles.CoarseGenerator(rng.bit_generator) if coarse else rng
+
+
+def test_greedy_kmeans_pp_matches_serial_oracle_on_codec_latents():
+    # real-valued latents: the library's GEMM and the oracle's GEMVs round
+    # independently, and the picks must still agree. Coarse draws of exactly
+    # 0 land on the first point with positive weight: a picked point's own
+    # distance is exactly 0, so no point is picked twice.
+    latents, cfg = _codec_latents()
+    k = cfg.codebook_size
+    for coarse in (False, True):
+        picks = rvq._greedy_kmeans_pp(latents, k, _level_rng(cfg, 0, coarse))
+        expected = oracles.greedy_kmeans_pp_serial(latents, k, _level_rng(cfg, 0, coarse))
+        assert picks.tolist() == expected.tolist(), f"coarse={coarse}"
+        assert len(set(picks.tolist())) == k, f"coarse={coarse}"
+
+
+def test_train_levels_with_enough_distinct_points_have_distinct_codewords():
+    latents, cfg = _codec_latents()
+    cb = rvq.train_codebooks(latents, cfg)
+    residual = latents.copy()
+    for j in range(cfg.num_levels):
+        distinct_points = np.unique(residual, axis=0).shape[0]
+        distinct_codewords = np.unique(cb.entries[j], axis=0).shape[0]
+        assert distinct_codewords == min(cfg.codebook_size, distinct_points), f"level {j}"
+        idx, _ = rvq._nearest_indices(residual, cb.entries[j])
+        np.testing.assert_array_equal(cb.usage[j], np.bincount(idx, minlength=cfg.codebook_size))
+        residual -= cb.entries[j][idx]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_train_on_distinct_points_returns_k_distinct_codewords(seed):
+    pts = np.random.default_rng(seed).standard_normal((60, 3))
+    cb = rvq.train_codebooks(pts, small_cfg(num_levels=1, codebook_size=16, latent_dim=3, seed=seed))
+    assert np.unique(cb.entries[0], axis=0).shape[0] == 16
 
 
 def test_train_rejects_empty_batch():
@@ -364,23 +395,46 @@ def test_train_deterministic_given_seed(rng):
 
 def test_lloyd_steps_never_increase_distortion(rng):
     pts = rng.standard_normal((60, 3))
-    cfg = small_cfg(
-        num_levels=1, codebook_size=5, latent_dim=3, ema_decay=1e-12, dead_code_threshold=0.0
-    )
+    cfg = small_cfg(num_levels=1, codebook_size=5, latent_dim=3, dead_code_threshold=0.0)
     _, histories = rvq.train_codebooks(pts, cfg, return_history=True)
     h = histories[0]
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * h[0]
 
 
+def test_lloyd_stops_at_the_cap(monkeypatch, rng):
+    pts = rng.standard_normal((200, 3))
+    monkeypatch.setattr(rvq, "_LLOYD_CAP", 1)
+    _, histories = rvq.train_codebooks(pts, small_cfg(num_levels=1, codebook_size=8, latent_dim=3),
+                                       return_history=True)
+    assert len(histories[0]) == 2 and rvq.lloyd_stop(histories[0]) == "cap"
+
+
 def test_dead_codes_are_reseeded(rng):
-    # ask for more codewords than points: some must go dead and be reseeded
+    # more codewords than points: the codes left over stay finite, the
+    # points are covered exactly, and a second run repeats the first
     pts = rng.standard_normal((3, 2))
-    cfg = small_cfg(num_levels=1, codebook_size=6, latent_dim=2, ema_decay=1e-9)
+    cfg = small_cfg(num_levels=1, codebook_size=6, latent_dim=2)
     cb = rvq.train_codebooks(pts, cfg)
     assert np.all(np.isfinite(cb.entries))
     _, best = rvq._nearest_indices(pts, cb.entries[0])
-    assert float(best.mean()) <= 1e-12
+    assert float(best.mean()) == 0.0
+    assert np.unique(cb.entries[0], axis=0).shape[0] == 3
+    again = rvq.train_codebooks(pts, cfg)
+    assert again.entries.tobytes() == cb.entries.tobytes() and again.usage.tobytes() == cb.usage.tobytes()
+
+
+def test_reseeding_moves_empty_codes_to_distinct_points(monkeypatch):
+    # three coinciding centers leave codes 1 and 2 empty; the two farthest
+    # points are copies of one point, so the second re-seed takes the next
+    # distinct point, and the run ends with every point on its own codeword
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
+    centers, idx, history = rvq._lloyd(pts, pts[[0, 0, 0]], 1.0)
+    assert min(history) == 0.0
+    np.testing.assert_array_equal(centers[idx], pts)
+    monkeypatch.setattr(rvq, "_LLOYD_CAP", 1)
+    centers, _, _ = rvq._lloyd(pts, pts[[0, 0, 0]], 1.0)
+    np.testing.assert_array_equal(centers, [[2.2, 0.0], [5.0, 0.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
