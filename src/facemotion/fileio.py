@@ -1,16 +1,19 @@
 """File formats: motion (A2MO/CSV), codebooks (A2CB), tokens (A2TK),
 blendshape models (JSON), feature sequences (A2FE), event logs and reports.
 
-Binary containers are little-endian with u32 header fields. Motion frames,
-codebook entries and projections are stored as f32; loading promotes to
-f64. CSV motion files quantize to f32 and print each value with numpy's
-shortest round-trip repr, so CSV -> binary round-trips bit-exactly for any
-value representable in f32. Every binary read is checked against the bytes
-left in the file first, so a header that claims more data than the file
-holds raises FormatError instead of allocating what it claims. A binary file
-must end where its data ends, and content the package objects reject
-(non-finite values, K=0, zero feature columns, token indices >= K,
-projection maps that are not d_z x G*58) also raises FormatError. All JSON reports are written with
+Binary containers are little-endian: 4 magic bytes, a u32 version, then
+header fields. Each container's header is declared once, as a tuple of
+(name, struct code) pairs that both the writer and the reader walk, and the
+field names are what truncation errors name. Motion frames, codebook entries
+and projections are stored as f32; loading promotes to f64. CSV motion files
+quantize to f32 and print each value with numpy's shortest round-trip repr,
+so CSV -> binary round-trips bit-exactly for any value representable in
+f32. Every binary read is checked against the bytes left in the file first,
+so a header that claims more data than the file holds raises FormatError
+instead of allocating what it claims. A binary file must end where its data
+ends, and content the package objects reject (non-finite values, K=0, zero
+feature columns, token indices >= K, projection maps that are not
+d_z x G*58) also raises FormatError. All JSON reports are written with
 sorted keys and a trailing newline so identical inputs produce identical
 bytes.
 """
@@ -33,8 +36,23 @@ MOTION_MAGIC = b"A2MO"
 CODEBOOK_MAGIC = b"A2CB"
 TOKEN_MAGIC = b"A2TK"
 FEATURE_MAGIC = b"A2FE"
+_VERSION = 1
 
 _PathLike = Union[str, Path]
+# A binary header after magic and version: (name, struct code) per field, in file order.
+_Fields = Tuple[Tuple[str, str], ...]
+
+
+def _row_fields(count: str) -> _Fields:
+    """The header A2MO and A2FE share: f32 fps, u32 row count (``count`` in errors), u32 row width."""
+    return (("fps", "f"), (count, "I"), ("dim", "I"))
+
+
+_MOTION_FIELDS = _row_fields("frame_count")
+_FEATURE_FIELDS = _row_fields("count")
+_CODEBOOK_FIELDS = (("num_levels", "I"), ("codebook_size", "I"), ("latent_dim", "I"), ("group_size", "I"),
+                    ("gamma", "f"))
+_TOKEN_FIELDS = (("count", "I"), ("num_levels", "I"), ("codebook_size", "I"))
 
 
 def _bytes_left(fh) -> int:
@@ -50,12 +68,12 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
-def _read_u32(fh, what: str) -> int:
-    return struct.unpack("<I", _read_exact(fh, 4, what))[0]
-
-
-def _read_f32(fh, what: str) -> float:
-    return struct.unpack("<f", _read_exact(fh, 4, what))[0]
+def _read_fields(fh, fields: _Fields) -> list:
+    """The values of ``fields``, read one field at a time so that a truncation names its field."""
+    values = []
+    for name, code in fields:
+        values += struct.unpack("<" + code, _read_exact(fh, struct.calcsize("<" + code), name))
+    return values
 
 
 def _read_f32_array(fh, count: int, what: str) -> np.ndarray:
@@ -79,9 +97,21 @@ def read_json(path: _PathLike):
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _write_container(path: _PathLike, magic: bytes, fields: _Fields, values, *payload: bytes) -> None:
+    """Write magic, the version, ``values`` packed as ``fields`` declare, then each payload part.
+
+    The header is packed before the file is opened, so a value it cannot hold leaves no file.
+    """
+    header = magic + struct.pack("<I" + "".join(code for _, code in fields), _VERSION, *values)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for part in payload:
+            fh.write(part)
+
+
 @contextmanager
-def _container(path: _PathLike, magic: bytes, kind: str):
-    """Open a version-1 binary container and yield it after magic and version.
+def _container(path: _PathLike, magic: bytes, kind: str, fields: _Fields):
+    """Open a binary container written by _write_container; yield (file, header values).
 
     The body reads the payload and builds the object; when it leaves, also
     by return, the file must be at its end. Everything that goes wrong,
@@ -93,10 +123,10 @@ def _container(path: _PathLike, magic: bytes, kind: str):
             got = fh.read(4)
             if got != magic:
                 raise FormatError(f"expected magic {magic!r}, found {got!r}")
-            version = _read_u32(fh, "version")
-            if version != 1:
+            (version,) = _read_fields(fh, (("version", "I"),))
+            if version != _VERSION:
                 raise FormatError(f"unsupported {kind} version {version}")
-            yield fh
+            yield fh, _read_fields(fh, fields)
             left = _bytes_left(fh)
             if left:
                 raise FormatError(f"{left} trailing bytes after the {kind} data")
@@ -108,8 +138,8 @@ def _container(path: _PathLike, magic: bytes, kind: str):
 # Motion (A2MO, CSV) and feature (A2FE) sequences; A2MO and A2FE share one layout
 
 
-def _save_rows(path: _PathLike, magic: bytes, fps: float, rows: np.ndarray) -> None:
-    """Write magic, u32 version 1, f32 fps, u32 row count, u32 row width, then f32 rows.
+def _save_rows(path: _PathLike, magic: bytes, fields: _Fields, fps: float, rows: np.ndarray) -> None:
+    """Write a _row_fields header, then the f32 rows.
 
     An fps that is not positive and finite as f32 raises ValueError before the file is opened.
     """
@@ -117,18 +147,13 @@ def _save_rows(path: _PathLike, magic: bytes, fps: float, rows: np.ndarray) -> N
         fps32 = np.float32(fps)
     if not 0 < fps32 < np.inf:
         raise ValueError(f"fps must be positive and finite at f32 precision, got {fps!r}")
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<IfII", 1, fps32, *rows.shape))
-        fh.write(rows.astype("<f4").tobytes())
+    _write_container(path, magic, fields, (fps32, *rows.shape), rows.astype("<f4").tobytes())
 
 
-def _load_rows(path: _PathLike, magic: bytes, kind: str, make, count_what: str, rows_what: str,
+def _load_rows(path: _PathLike, magic: bytes, kind: str, fields: _Fields, make, rows_what: str,
                dim: Optional[int] = None):
-    """make(rows, fps=fps) from _save_rows' layout; the whats name fields in errors, dim fixes the width."""
-    with _container(path, magic, kind) as fh:
-        fps = _read_f32(fh, "fps")
-        count = _read_u32(fh, count_what)
-        width = _read_u32(fh, "dim")
+    """make(rows, fps=fps) from _save_rows' layout; rows_what names the rows in errors, dim fixes the width."""
+    with _container(path, magic, kind, fields) as (fh, (fps, count, width)):
         if dim is not None and width != dim:
             raise FormatError(f"frame dim must be {dim}, got {width}")
         return make(_read_f32_array(fh, count * width, rows_what).reshape(count, width), fps=fps)
@@ -136,20 +161,20 @@ def _load_rows(path: _PathLike, magic: bytes, kind: str, make, count_what: str, 
 
 def save_motion(path: _PathLike, m: motion_core.MotionSequence) -> None:
     """Write the A2MO binary container (f32 frames, row-major)."""
-    _save_rows(path, MOTION_MAGIC, m.fps, m.params)
+    _save_rows(path, MOTION_MAGIC, _MOTION_FIELDS, m.fps, m.params)
 
 
 def load_motion(path: _PathLike) -> motion_core.MotionSequence:
-    return _load_rows(path, MOTION_MAGIC, "motion", motion_core.MotionSequence, "frame_count", "frames",
+    return _load_rows(path, MOTION_MAGIC, "motion", _MOTION_FIELDS, motion_core.MotionSequence, "frames",
                       dim=motion_core.FRAME_DIM)
 
 
 def save_features(path: _PathLike, h: streamsim.AudioFeatureSequence) -> None:
-    _save_rows(path, FEATURE_MAGIC, h.fps, h.features)
+    _save_rows(path, FEATURE_MAGIC, _FEATURE_FIELDS, h.fps, h.features)
 
 
 def load_features(path: _PathLike) -> streamsim.AudioFeatureSequence:
-    return _load_rows(path, FEATURE_MAGIC, "feature", streamsim.AudioFeatureSequence, "count", "features")
+    return _load_rows(path, FEATURE_MAGIC, "feature", _FEATURE_FIELDS, streamsim.AudioFeatureSequence, "features")
 
 
 def _f32_repr(value: float) -> str:
@@ -211,15 +236,16 @@ def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
 # Blendshape models (JSON key-value tree)
 
 
+# The model's array fields, each mapped to whether it holds vertex indices.
+_MODEL_ARRAYS = {"template": False, "expr_basis": False, "eyelid_basis": False, "jaw_joint": False,
+                 "jaw_region": True}
+
+
 def save_model(path: _PathLike, model: motion_core.BlendshapeModel) -> None:
     doc = {
         "format": "facemotion-model",
         "version": 1,
-        "template": model.template.tolist(),
-        "expr_basis": model.expr_basis.tolist(),
-        "eyelid_basis": model.eyelid_basis.tolist(),
-        "jaw_joint": model.jaw_joint.tolist(),
-        "jaw_region": model.jaw_region.tolist(),
+        **{name: getattr(model, name).tolist() for name in _MODEL_ARRAYS},
         "regions": {k: v.tolist() for k, v in model.regions.items()},
         "landmarks": dict(model.landmarks),
     }
@@ -259,11 +285,7 @@ def load_model(path: _PathLike) -> motion_core.BlendshapeModel:
             if not isinstance(index, int) or isinstance(index, bool):
                 raise FormatError(f"landmark {name!r} must be an integer vertex index, got {index!r}")
         return motion_core.BlendshapeModel(
-            template=_json_array(doc["template"], "template"),
-            expr_basis=_json_array(doc["expr_basis"], "expr_basis"),
-            eyelid_basis=_json_array(doc["eyelid_basis"], "eyelid_basis"),
-            jaw_joint=_json_array(doc["jaw_joint"], "jaw_joint"),
-            jaw_region=_json_array(doc["jaw_region"], "jaw_region", integral=True),
+            **{name: _json_array(doc[name], name, integral) for name, integral in _MODEL_ARRAYS.items()},
             regions={k: _json_array(v, f"region {k!r}", integral=True) for k, v in regions.items()},
             landmarks=landmarks,
         )
@@ -279,35 +301,20 @@ def load_model(path: _PathLike) -> motion_core.BlendshapeModel:
 
 def save_codebook(path: _PathLike, cb: rvq.Codebook, proj: rvq.WindowProjection, cfg: rvq.QuantizerConfig) -> None:
     """A2CB: header, f32 codebook entries level-major, then encode/decode maps."""
-    with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<I", cb.num_levels))
-        fh.write(struct.pack("<I", cb.codebook_size))
-        fh.write(struct.pack("<I", cb.latent_dim))
-        fh.write(struct.pack("<I", cfg.group_size))
-        fh.write(struct.pack("<f", cfg.gamma))
-        fh.write(cb.entries.astype("<f4").tobytes())
-        for mat, bias in ((proj.encode_w, proj.encode_b), (proj.decode_w, proj.decode_b)):
-            fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-            fh.write(mat.astype("<f4").tobytes())
-            fh.write(bias.astype("<f4").tobytes())
+    payload = [cb.entries.astype("<f4").tobytes()]
+    for mat, bias in ((proj.encode_w, proj.encode_b), (proj.decode_w, proj.decode_b)):
+        payload += [struct.pack("<II", *mat.shape), mat.astype("<f4").tobytes(), bias.astype("<f4").tobytes()]
+    header = (cb.num_levels, cb.codebook_size, cb.latent_dim, cfg.group_size, cfg.gamma)
+    _write_container(path, CODEBOOK_MAGIC, _CODEBOOK_FIELDS, header, *payload)
 
 
 def load_codebook(path: _PathLike) -> Tuple[rvq.Codebook, rvq.WindowProjection, rvq.QuantizerConfig]:
-    with _container(path, CODEBOOK_MAGIC, "codebook") as fh:
-        n_q = _read_u32(fh, "num_levels")
-        k = _read_u32(fh, "codebook_size")
-        d_z = _read_u32(fh, "latent_dim")
-        g = _read_u32(fh, "group_size")
-        gamma = _read_f32(fh, "gamma")
-        cfg = rvq.QuantizerConfig(
-            group_size=g, num_levels=n_q, codebook_size=k, latent_dim=d_z, gamma=float(np.float32(gamma))
-        )
+    with _container(path, CODEBOOK_MAGIC, "codebook", _CODEBOOK_FIELDS) as (fh, (n_q, k, d_z, g, gamma)):
+        cfg = rvq.QuantizerConfig(group_size=g, num_levels=n_q, codebook_size=k, latent_dim=d_z, gamma=gamma)
         entries = _read_f32_array(fh, n_q * k * d_z, "entries").reshape(n_q, k, d_z)
         maps = []
         for what in ("encode", "decode"):
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, f"{what} dims"))
+            rows, cols = _read_fields(fh, ((f"{what} dims", "II"),))
             maps.append(_read_f32_array(fh, rows * cols, f"{what} matrix").reshape(rows, cols))
             maps.append(_read_f32_array(fh, rows, f"{what} bias"))
         proj = rvq.WindowProjection(*maps)
@@ -325,21 +332,13 @@ def load_codebook(path: _PathLike) -> Tuple[rvq.Codebook, rvq.WindowProjection, 
 def save_tokens(path: _PathLike, tokens: rvq.TokenSequence) -> None:
     if tokens.codebook_size > 0xFFFF:
         raise FormatError("token files support codebook sizes up to 65535")
-    with open(path, "wb") as fh:
-        fh.write(TOKEN_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<I", len(tokens)))
-        fh.write(struct.pack("<I", tokens.num_levels))
-        fh.write(struct.pack("<I", tokens.codebook_size))
-        fh.write(tokens.indices.astype("<u2").tobytes())
+    header = (len(tokens), tokens.num_levels, tokens.codebook_size)
+    _write_container(path, TOKEN_MAGIC, _TOKEN_FIELDS, header, tokens.indices.astype("<u2").tobytes())
 
 
 def load_tokens(path: _PathLike, group_size: int = 5) -> rvq.TokenSequence:
     """Token files do not carry the temporal group size; pass the codec's."""
-    with _container(path, TOKEN_MAGIC, "token") as fh:
-        count = _read_u32(fh, "count")
-        n_q = _read_u32(fh, "num_levels")
-        k = _read_u32(fh, "codebook_size")
+    with _container(path, TOKEN_MAGIC, "token", _TOKEN_FIELDS) as (fh, (count, n_q, k)):
         data = _read_exact(fh, 2 * count * n_q, "indices")
         indices = np.frombuffer(data, dtype="<u2").astype(np.int64).reshape(count, n_q)
         return rvq.TokenSequence(indices, group_size=group_size, num_levels=n_q, codebook_size=k)

@@ -16,9 +16,10 @@ and commitment terms, each scaled by lambda_vq, on top of l_rec:
 Reduction order. Each vertex term is bit-identical to its plain formula,
 ``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)`` for a region and
 ``np.mean((np.diff(v, n, axis=0) - np.diff(v_hat, n, axis=0)) ** 2)`` for
-n = 1, 2. The squared differences are written, ``_CHUNK_FRAMES`` frames at a
-time, into one buffer holding the same values in the same memory order as
-the plain formula's array, and one ``np.mean`` sums that buffer:
+n = 1, 2. The squared differences are written, ``_BLOCK_FRAMES`` frames at a
+time (the forward model's block size), into one buffer holding the same
+values in the same memory order as the plain formula's array, and one
+``np.mean`` sums that buffer:
 
 - a region buffer is C-contiguous (len(idx), T, 3), the layout numpy gives
   ``v[:, idx]`` (the indexed axis outermost);
@@ -37,14 +38,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import IncompatibleShapeError
-from .motion_core import BlendshapeModel, MotionSequence, sequence_vertex_array
+from .motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, check_pair, sequence_vertex_array
 from .rvq import LatentSequence, QuantizerConfig, commitment_loss
 
 REDUCTION = "mean_over_frames_and_dims"
-
-# Frames of squared differences computed per step; bounds the temporaries.
-_CHUNK_FRAMES = 128
 
 
 @dataclass
@@ -80,35 +77,14 @@ class LossReport:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "values": {
-                "l_param": self.l_param,
-                "l_lips": self.l_lips,
-                "l_face": self.l_face,
-                "l_vel": self.l_vel,
-                "l_acc": self.l_acc,
-                "l_rec": self.l_rec,
-                "codebook_term": self.codebook_term,
-                "commit_term": self.commit_term,
-                "l_vqvae": self.l_vqvae,
-            },
-            "weights": self.weights.to_dict(),
-            "reduction": REDUCTION,
-        }
-
-
-def _check_pair(m: MotionSequence, m_hat: MotionSequence, min_len: int = 1) -> None:
-    if len(m) != len(m_hat):
-        raise IncompatibleShapeError(f"sequence lengths differ: {len(m)} vs {len(m_hat)}")
-    if m.fps != m_hat.fps:
-        raise IncompatibleShapeError(f"sequence fps differ: {m.fps} vs {m_hat.fps}")
-    if len(m) < min_len:
-        raise ValueError(f"sequences too short: need at least {min_len} frames, got {len(m)}")
+        values = asdict(self)
+        weights = values.pop("weights")
+        return {"values": values, "weights": weights, "reduction": REDUCTION}
 
 
 def param_loss(m: MotionSequence, m_hat: MotionSequence) -> float:
     """Mean squared difference over frames and the 58 channels."""
-    _check_pair(m, m_hat)
+    check_pair(m, m_hat)
     return float(np.mean((m.params - m_hat.params) ** 2))
 
 
@@ -126,8 +102,8 @@ def _region_mse(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
     module docstring), without the gathered arrays."""
     t = v.shape[0]
     sq = np.empty((idx.size, t, 3))
-    for start in range(0, t, _CHUNK_FRAMES):
-        stop = min(start + _CHUNK_FRAMES, t)
+    for start in range(0, t, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, t)
         d = sq[:, start:stop].transpose(1, 0, 2)
         np.subtract(v[start:stop, idx], v_hat[start:stop, idx], out=d)
         np.square(d, out=d)
@@ -141,8 +117,8 @@ def _geo_terms(model: BlendshapeModel, v: np.ndarray, v_hat: np.ndarray) -> Tupl
 def _fill_squared_diff(sq: np.ndarray, v: np.ndarray, v_hat: np.ndarray, n: int) -> None:
     """sq[i] = (np.diff(v, n, axis=0)[i] - np.diff(v_hat, n, axis=0)[i]) ** 2
     for every row i of ``sq``, chunk by chunk."""
-    for start in range(0, sq.shape[0], _CHUNK_FRAMES):
-        stop = min(start + _CHUNK_FRAMES, sq.shape[0])
+    for start in range(0, sq.shape[0], _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, sq.shape[0])
         d = np.diff(v[start : stop + n], n, axis=0)
         d -= np.diff(v_hat[start : stop + n], n, axis=0)
         np.square(d, out=sq[start:stop])
@@ -161,7 +137,7 @@ def geo_loss(
     model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
 ) -> Tuple[float, float]:
     """(l_lips, l_face): mean squared vertex error per region, zero-pose space."""
-    _check_pair(m, m_hat)
+    check_pair(m, m_hat)
     return _geo_terms(model, *_zero_posed_pair(model, m, m_hat))
 
 
@@ -173,7 +149,7 @@ def dyn_loss(
     Differences are forward differences on the full zero-posed vertex
     sequence (lengths T-1 and T-2), no padding.
     """
-    _check_pair(m, m_hat, min_len=3)
+    check_pair(m, m_hat, min_len=3)
     return _dyn_terms(*_zero_posed_pair(model, m, m_hat))
 
 
@@ -193,7 +169,7 @@ def total_losses(
     is the codec's commitment weight (``QuantizerConfig.gamma``).
     """
     w = weights or LossWeights()
-    _check_pair(m, m_hat, min_len=3)
+    check_pair(m, m_hat, min_len=3)
     l_param = param_loss(m, m_hat)
     v, v_hat = _zero_posed_pair(model, m, m_hat)
     l_lips, l_face = _geo_terms(model, v, v_hat)

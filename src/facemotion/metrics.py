@@ -9,7 +9,7 @@ NaN or fake zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +20,7 @@ from .motion_core import (
     LANDMARK_NAMES,
     BlendshapeModel,
     MotionSequence,
+    check_pair,
     forward_batch,
     landmark_distance,
 )
@@ -48,13 +49,7 @@ class MetricsConfig:
             raise ValueError(f"peak_min_distance must be >= 1, got {distance}")
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "fps": self.fps,
-            "epsilon": self.epsilon,
-            "peak_min_prominence": self.peak_min_prominence,
-            "peak_min_distance": self.peak_min_distance,
-            "std_convention": "population",
-        }
+        return {**asdict(self), "std_convention": "population"}
 
 
 @dataclass
@@ -70,19 +65,10 @@ class MetricsReport:
     config: MetricsConfig = field(default_factory=MetricsConfig)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "values": {
-                "mod_mm": self.mod_mm,
-                "ufd": self.ufd,
-                "temporal_corr": self.temporal_corr,
-                "velocity_corr": self.velocity_corr,
-                "lip_width_corr": self.lip_width_corr,
-                "liveliness_ratio": self.liveliness_ratio,
-                "peak_align_ms": self.peak_align_ms,
-            },
-            "undefined": dict(self.undefined),
-            "config": self.config.to_dict(),
-        }
+        values = asdict(self)
+        del values["config"]
+        undefined = values.pop("undefined")
+        return {"values": values, "undefined": undefined, "config": self.config.to_dict()}
 
 
 def _landmark_series(model: BlendshapeModel, m: MotionSequence, a: str, b: str) -> np.ndarray:
@@ -102,10 +88,7 @@ def width_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
 
 def mod_metric(model: BlendshapeModel, pred: MotionSequence, gt: MotionSequence) -> float:
     """Mean absolute mouth-opening error in millimeters."""
-    if len(pred) != len(gt):
-        raise IncompatibleShapeError(f"sequence lengths differ: {len(pred)} vs {len(gt)}")
-    if len(pred) == 0:
-        raise ValueError("cannot evaluate empty sequences")
+    check_pair(pred, gt)
     o_pred = opening_series(model, pred)
     o_gt = opening_series(model, gt)
     return float(np.mean(np.abs(o_pred - o_gt)) * 1000.0)
@@ -257,12 +240,9 @@ def full_report(
     gt: MotionSequence,
     cfg: Optional[MetricsConfig] = None,
 ) -> MetricsReport:
-    """All seven metrics on an aligned prediction/reference pair."""
+    """All seven metrics on an aligned prediction/reference pair (see ``check_pair``)."""
     cfg = cfg or MetricsConfig(fps=gt.fps)
-    if len(pred) != len(gt):
-        raise IncompatibleShapeError(f"sequence lengths differ: {len(pred)} vs {len(gt)}")
-    if len(pred) < 3:
-        raise ValueError("full report needs at least 3 frames")
+    check_pair(pred, gt, min_len=3)
     # one zero-posed render per sequence: the mouth landmarks, plus the
     # upper_face region for pred
     landmarks = [model.landmark(name) for name in LANDMARK_NAMES]

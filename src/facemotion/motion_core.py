@@ -56,12 +56,12 @@ CHANNEL_NAMES: List[str] = (
     + ["eyelid_l", "eyelid_r"]
 )
 
-REGION_NAMES = ("lips", "face", "upper_face")
 LANDMARK_NAMES = ("upper_lip", "lower_lip", "left_corner", "right_corner")
 
-# Frames per forward_batch block: large enough that the per-block numpy calls
-# cost little, small enough that a block of the whole mesh is a small share
-# of a long clip's output.
+# Frames per forward_batch block, and per step of the losses' squared
+# differences: large enough that the per-block numpy calls cost little, small
+# enough that a block of the whole mesh is a small share of a long clip's
+# output.
 _BLOCK_FRAMES = 128
 
 
@@ -123,6 +123,16 @@ class MotionSequence:
     @property
     def duration_s(self) -> float:
         return len(self) / self.fps
+
+
+def check_pair(m: MotionSequence, m_hat: MotionSequence, min_len: int = 1) -> None:
+    """Reject a pair of sequences whose lengths or fps differ, or that is shorter than ``min_len`` frames."""
+    if len(m) != len(m_hat):
+        raise IncompatibleShapeError(f"sequence lengths differ: {len(m)} vs {len(m_hat)}")
+    if m.fps != m_hat.fps:
+        raise IncompatibleShapeError(f"sequence fps differ: {m.fps} vs {m_hat.fps}")
+    if len(m) < min_len:
+        raise ValueError(f"sequences too short: need at least {min_len} frames, got {len(m)}")
 
 
 @dataclass

@@ -38,10 +38,12 @@ class QuantizerConfig:
         for name in ("group_size", "num_levels", "codebook_size", "latent_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.dead_code_threshold < 0:
-            raise ValueError(f"dead_code_threshold must be >= 0, got {self.dead_code_threshold}")
+        for name in ("gamma", "dead_code_threshold"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def window_dim(self) -> int:
@@ -278,7 +280,7 @@ def rvq_encode(
     return tokens, level_norms
 
 
-def rvq_decode(t: TokenSequence, cb: Codebook, fps_latent: float = None) -> LatentSequence:
+def rvq_decode(t: TokenSequence, cb: Codebook, fps_latent: float) -> LatentSequence:
     """Sum the selected codewords per level."""
     if t.num_levels != cb.num_levels or t.codebook_size != cb.codebook_size:
         raise IncompatibleShapeError("token grid does not match codebook configuration")
@@ -287,8 +289,6 @@ def rvq_decode(t: TokenSequence, cb: Codebook, fps_latent: float = None) -> Late
     vectors = np.zeros((len(t), cb.latent_dim))
     for j in range(cb.num_levels):
         vectors += cb.entries[j][t.indices[:, j]]
-    if fps_latent is None:
-        fps_latent = 25.0 / t.group_size
     return LatentSequence(vectors, fps_latent=fps_latent)
 
 

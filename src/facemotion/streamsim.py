@@ -11,7 +11,7 @@ never from wall clocks, so they are deterministic under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -232,13 +232,7 @@ class LatencyReport:
     generation_time_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "ttft_ms": self.ttft_ms,
-            "ttfa_ms": self.ttfa_ms,
-            "rtf": self.rtf,
-            "content_duration_ms": self.content_duration_ms,
-            "generation_time_ms": self.generation_time_ms,
-        }
+        return asdict(self)
 
 
 def latency_report(log: StreamEventLog) -> LatencyReport:

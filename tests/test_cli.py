@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facemotion import cli, fileio, rvq, streamsim
+from facemotion.motion_core import MotionSequence
 
 
 def run(*argv):
@@ -274,6 +275,23 @@ def test_eval_metrics_identity(tmp_path):
     assert doc["values"]["mod_mm"] == 0.0
     assert doc["values"]["temporal_corr"] == pytest.approx(1.0, abs=1e-9)
     assert doc["values"]["peak_align_ms"] == 0.0
+
+
+@pytest.mark.parametrize("command, pair", [
+    ("eval-recon", ("--gt", "--pred")),
+    ("eval-metrics", ("--gt", "--pred")),
+    ("compare", ("--reference", "--candidate")),
+], ids=["eval-recon", "eval-metrics", "compare"])
+def test_pair_with_different_fps_exits_4(tmp_path, capsys, command, pair):
+    out = gen(tmp_path, frames=20)
+    m = fileio.load_motion(out / "motion.a2mo")
+    fast = tmp_path / "fast.a2mo"
+    fileio.save_motion(fast, MotionSequence(m.params, fps=30.0))
+    res = tmp_path / "res"
+    assert run(command, "--out", res, "--model", out / "model.json",
+               pair[0], out / "motion.a2mo", pair[1], fast) == 4
+    assert "sequence fps differ" in capsys.readouterr().err
+    assert not (res / f"{command}.manifest.json").exists()
 
 
 def test_compare_reference_copy_ranks_first(tmp_path):

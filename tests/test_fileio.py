@@ -33,18 +33,6 @@ def test_motion_binary_round_trip(tmp_path, rng):
     assert (tmp_path / "m.a2mo").read_bytes() == (tmp_path / "m2.a2mo").read_bytes()
 
 
-def test_motion_binary_header_layout(tmp_path):
-    m = MotionSequence(np.zeros((2, 58)), fps=25.0)
-    path = tmp_path / "m.a2mo"
-    fileio.save_motion(path, m)
-    blob = path.read_bytes()
-    assert blob[:4] == b"A2MO"
-    assert int.from_bytes(blob[4:8], "little") == 1
-    assert int.from_bytes(blob[12:16], "little") == 2
-    assert int.from_bytes(blob[16:20], "little") == 58
-    assert len(blob) == 20 + 2 * 58 * 4
-
-
 def test_motion_bad_magic(tmp_path):
     path = tmp_path / "bad.a2mo"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -468,6 +456,24 @@ LOADERS = {"a2mo": fileio.load_motion, "a2fe": fileio.load_features, "a2tk": fil
            "a2cb": fileio.load_codebook}
 NAN, INF = float("nan"), float("inf")
 
+# Each container's header as docs/formats.md lays it out (magic, u32 version,
+# then its fields in order), the values _valid_blob writes there, and the
+# payload bytes that follow it.
+HEADERS = {
+    "a2mo": ("<4sIfII", (b"A2MO", 1, 25.0, 3, FRAME_DIM), 3 * FRAME_DIM * 4),
+    "a2fe": ("<4sIfII", (b"A2FE", 1, 25.0, 3, 4), 3 * 4 * 4),
+    "a2tk": ("<4sIIII", (b"A2TK", 1, 2, 2, 2), 2 * 2 * 2),
+    "a2cb": ("<4sIIIIIf", (b"A2CB", 1, 1, 2, 3, 1, 0.25), 6 * 4 + 2 * (8 + 3 * FRAME_DIM * 4) + (3 + FRAME_DIM) * 4),
+}
+
+
+@pytest.mark.parametrize("kind", list(HEADERS))
+def test_binary_header_layout(tmp_path, kind):
+    fmt, header, payload = HEADERS[kind]
+    blob = _valid_blob(tmp_path, kind)
+    assert struct.unpack_from(fmt, blob) == header
+    assert len(blob) == struct.calcsize(fmt) + payload
+
 
 @pytest.mark.parametrize(
     "kind, forge, message",
@@ -486,6 +492,7 @@ NAN, INF = float("nan"), float("inf")
         ("a2cb", lambda b: b + b"\x00", "trailing"),
         ("a2cb", lambda b: _patch(b, 12, "<I", 0), "codebook_size must be positive"),
         ("a2cb", lambda b: _patch(b, 24, "<f", NAN), "gamma"),
+        ("a2cb", lambda b: _patch(b, 24, "<f", INF), "gamma must be finite"),
         ("a2cb", lambda b: _patch(b, 28, "<f", INF), "non-finite"),
         ("a2cb", lambda b: _patch(b, 20, "<I", 2), "expected 3x116"),
         ("a2cb", lambda b: b[:-4] + struct.pack("<f", NAN), "non-finite"),

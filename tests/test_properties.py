@@ -25,7 +25,7 @@ def _bits(a):
 
 
 BLOCK = mc._BLOCK_FRAMES
-CHUNK = losses._CHUNK_FRAMES
+CHUNK = BLOCK  # losses stream their squared differences in forward_batch's blocks
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,6 +13,13 @@ def small_cfg(**kw):
     return rvq.QuantizerConfig(**defaults)
 
 
+@pytest.mark.parametrize("value, message", [(float("nan"), "must be >= 0"), (float("inf"), "must be finite")])
+def test_quantizer_config_rejects_non_finite_dead_code_threshold(value, message):
+    # gamma's NaN and infinity are checked through a forged .a2cb in test_fileio
+    with pytest.raises(ValueError, match="dead_code_threshold " + message):
+        small_cfg(dead_code_threshold=value)
+
+
 def random_motion(rng, t=10, fps=25.0):
     return MotionSequence(rng.standard_normal((t, FRAME_DIM)) * 0.1, fps=fps)
 
@@ -160,14 +167,14 @@ def test_rvq_decode_single_level_returns_codeword(rng):
     entries = rng.standard_normal((1, 5, 3))
     cb = rvq.Codebook(entries)
     tokens = rvq.TokenSequence(np.array([[2], [4]]), group_size=5, num_levels=1, codebook_size=5)
-    z = rvq.rvq_decode(tokens, cb)
+    z = rvq.rvq_decode(tokens, cb, fps_latent=5.0)
     np.testing.assert_array_equal(z.vectors, entries[0][[2, 4]])
 
 
 def test_rvq_decode_zero_codebooks_give_zero_latents():
     cb = rvq.Codebook(np.zeros((3, 4, 2)))
     tokens = rvq.TokenSequence(np.array([[1, 2, 3], [0, 0, 0]]), group_size=5, num_levels=3, codebook_size=4)
-    np.testing.assert_array_equal(rvq.rvq_decode(tokens, cb).vectors, np.zeros((2, 2)))
+    np.testing.assert_array_equal(rvq.rvq_decode(tokens, cb, fps_latent=5.0).vectors, np.zeros((2, 2)))
 
 
 def test_rvq_decode_matches_gather_sum_oracle(rng):
@@ -175,7 +182,7 @@ def test_rvq_decode_matches_gather_sum_oracle(rng):
     cb = rvq.Codebook(entries)
     idx = rng.integers(0, 6, size=(10, 3))
     tokens = rvq.TokenSequence(idx, group_size=5, num_levels=3, codebook_size=6)
-    got = rvq.rvq_decode(tokens, cb).vectors
+    got = rvq.rvq_decode(tokens, cb, fps_latent=5.0).vectors
     np.testing.assert_allclose(got, oracles.gather_sum(idx, entries), rtol=0, atol=1e-15)
 
 
@@ -183,7 +190,7 @@ def test_rvq_decode_index_out_of_range(rng):
     cb = rvq.Codebook(rng.standard_normal((1, 4, 2)))
     tokens = rvq.TokenSequence(np.array([[5]]), group_size=5, num_levels=1, codebook_size=8)
     with pytest.raises((ValueError, IncompatibleShapeError)):
-        rvq.rvq_decode(tokens, cb)
+        rvq.rvq_decode(tokens, cb, fps_latent=5.0)
 
 
 def test_token_sequence_rejects_out_of_range_indices():
