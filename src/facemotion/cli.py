@@ -285,7 +285,7 @@ def cmd_decode(args, config) -> Outcome:
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     tokens = fileio.load_tokens(args.tokens, group_size=qcfg.group_size)
     frames = args.frames if args.frames is not None else len(tokens) * qcfg.group_size
-    z = rvq.rvq_decode(tokens, cb, fps_latent=args.fps / qcfg.group_size)
+    z = rvq.rvq_decode(tokens, cb, fps_latent=motion_core.positive_f32(args.fps) / qcfg.group_size)
     m = rvq.window_decode(z, proj, qcfg, original_t=frames)
     out = _out_dir(args)
     motion_path = out / "decoded.a2mo"
@@ -408,20 +408,20 @@ def cmd_compare(args, config) -> Outcome:
 
 
 def cmd_simulate_stream(args, config) -> Outcome:
-    cb, proj, qcfg = fileio.load_codebook(args.codebook)
-    features = fileio.load_features(args.features)
-    settings = _settings(args, config, "stream")
-    segment_tokens = settings.pop("segment_tokens")
-    seed = settings.pop("seed")
-
     if args.predictor == "oracle" and args.gt_tokens is None:
         raise UsageError("--gt-tokens is required for the oracle predictor")
     if args.predictor == "retrieval" and (args.corpus_features is None or args.corpus_tokens is None):
         raise UsageError("--corpus-features and --corpus-tokens are required for retrieval")
-    # Each predictor's input files are accepted only with that predictor.
-    for dest, kind in (("gt_tokens", "oracle"), ("corpus_features", "retrieval"), ("corpus_tokens", "retrieval")):
+    # Each predictor's input files, and the seed, are accepted only with the predictor that reads them.
+    for dest, kind in (("gt_tokens", "oracle"), ("corpus_features", "retrieval"), ("corpus_tokens", "retrieval"),
+                       ("seed", "uniform")):
         if getattr(args, dest) is not None and args.predictor != kind:
             raise UsageError(f"{_flag(dest)} is read only by the {kind} predictor")
+    settings = _settings(args, config, "stream")
+    segment_tokens = settings.pop("segment_tokens")
+    seed = settings.pop("seed")
+    cb, proj, qcfg = fileio.load_codebook(args.codebook)
+    features = fileio.load_features(args.features)
     gt_tokens = None
     corpus = None
     if args.predictor == "oracle":
@@ -461,7 +461,7 @@ def cmd_simulate_stream(args, config) -> Outcome:
                 "timing": timing.__dict__,
             },
         },
-        seed=seed,
+        seed=seed if args.predictor == "uniform" else None,
     )
 
 
@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_inputs(p, "--codebook", "--tokens", required=True)
     p.add_argument("--frames", type=int, default=None, help="original frame count (default: all)")
-    p.add_argument("--fps", type=_finite_float, default=25.0, help="output frame rate (default %(default)s)")
+    p.add_argument("--fps", type=_finite_float, default=motion_core.DEFAULT_FPS,
+                   help="output frame rate (default %(default)s)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval-recon", help="itemized reconstruction loss report")

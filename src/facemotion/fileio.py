@@ -139,15 +139,8 @@ def _container(path: _PathLike, magic: bytes, kind: str, fields: _Fields):
 
 
 def _save_rows(path: _PathLike, magic: bytes, fields: _Fields, fps: float, rows: np.ndarray) -> None:
-    """Write a _row_fields header, then the f32 rows.
-
-    An fps that is not positive and finite as f32 raises ValueError before the file is opened.
-    """
-    with np.errstate(over="ignore"):
-        fps32 = np.float32(fps)
-    if not 0 < fps32 < np.inf:
-        raise ValueError(f"fps must be positive and finite at f32 precision, got {fps!r}")
-    _write_container(path, magic, fields, (fps32, *rows.shape), rows.astype("<f4").tobytes())
+    """Write a _row_fields header, then the f32 rows; the sequence types hold fps at f32 already."""
+    _write_container(path, magic, fields, (fps, *rows.shape), rows.astype("<f4").tobytes())
 
 
 def _load_rows(path: _PathLike, magic: bytes, kind: str, fields: _Fields, make, rows_what: str,
@@ -199,7 +192,7 @@ def _csv_number(path: _PathLike, line_no: int, cell: str) -> float:
 
 def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
     text = _read_text(path)
-    fps = 25.0
+    fps = motion_core.DEFAULT_FPS
     rows: List[List[float]] = []
     header_seen = False
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -225,7 +218,7 @@ def load_motion_csv(path: _PathLike) -> motion_core.MotionSequence:
         raise FormatError(f"{path}: missing CSV header row")
     params = np.asarray(rows, dtype=np.float64).reshape(len(rows), motion_core.FRAME_DIM)
     with np.errstate(over="ignore"):  # beyond f32 range becomes inf, rejected below
-        params, fps = params.astype(np.float32).astype(np.float64), np.float32(fps)
+        params = params.astype(np.float32).astype(np.float64)
     try:
         return motion_core.MotionSequence(params, fps=fps)
     except ValueError as exc:
@@ -336,7 +329,7 @@ def save_tokens(path: _PathLike, tokens: rvq.TokenSequence) -> None:
     _write_container(path, TOKEN_MAGIC, _TOKEN_FIELDS, header, tokens.indices.astype("<u2").tobytes())
 
 
-def load_tokens(path: _PathLike, group_size: int = 5) -> rvq.TokenSequence:
+def load_tokens(path: _PathLike, group_size: int = rvq.QuantizerConfig.group_size) -> rvq.TokenSequence:
     """Token files do not carry the temporal group size; pass the codec's."""
     with _container(path, TOKEN_MAGIC, "token", _TOKEN_FIELDS) as (fh, (count, n_q, k)):
         data = _read_exact(fh, 2 * count * n_q, "indices")

@@ -18,28 +18,27 @@ from .errors import IncompatibleShapeError, ModelConfigError
 from .motion_core import (
     FRAME_DIM,
     LANDMARK_NAMES,
+    DEFAULT_FPS,
     BlendshapeModel,
     MotionSequence,
     check_pair,
     forward_batch,
+    positive_f32,
     landmark_distance,
 )
 
 
 @dataclass
 class MetricsConfig:
-    fps: float = 25.0
+    fps: float = DEFAULT_FPS
     epsilon: float = 1e-8
     peak_min_prominence: float = 0.05  # fraction of signal range
     peak_min_distance: int = 3  # frames
 
     def __post_init__(self):
-        for name in ("fps", "epsilon"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            if value == np.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        self.fps = positive_f32(self.fps)
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.peak_min_prominence < 1.0:
             raise ValueError(f"peak_min_prominence must be in [0, 1), got {self.peak_min_prominence}")
         distance = self.peak_min_distance
@@ -162,7 +161,7 @@ def lip_width_corr(w_pred: np.ndarray, w_gt: np.ndarray) -> Optional[float]:
     return pearson(w_pred, w_gt)
 
 
-def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = 1e-8) -> float:
+def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = MetricsConfig.epsilon) -> float:
     """Velocity-energy ratio sigma(v_pred) / (sigma(v_gt) + epsilon).
 
     Standard deviations are population (ddof=0) so length-2 series are

@@ -31,6 +31,7 @@ a (T, 58) array and vertices a (T, N', 3) array; one frame is a 1-row call.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -63,6 +64,24 @@ LANDMARK_NAMES = ("upper_lip", "lower_lip", "left_corner", "right_corner")
 # enough that a block of the whole mesh is a small share of a long clip's
 # output.
 _BLOCK_FRAMES = 128
+
+# The frame rate a sequence, a metrics config or a synthetic clip gets when none is given.
+DEFAULT_FPS = 25.0
+
+_F32 = struct.Struct("<f")
+
+
+def positive_f32(value, name: str = "fps") -> float:
+    """The frame-rate rule: ``value`` rounded to f32, the precision every file stores, which must be
+    positive and finite; ValueError naming ``name`` otherwise. A rate that passed it equals its file's."""
+    value = float(value)
+    try:
+        rounded = _F32.unpack(_F32.pack(value))[0]
+    except OverflowError:  # beyond the f32 range
+        rounded = np.inf
+    if not 0 < rounded < np.inf:
+        raise ValueError(f"{name} must be positive and finite at f32 precision, got {value!r}")
+    return rounded
 
 
 def _as_float_array(x, shape, name: str) -> np.ndarray:
@@ -100,10 +119,10 @@ def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MotionSequence:
-    """A timed sequence of motion frames, stored as a (T, 58) array."""
+    """A timed sequence of motion frames, stored as a (T, 58) array; fps is rounded to f32 by ``positive_f32``."""
 
     params: np.ndarray
-    fps: float = 25.0
+    fps: float = DEFAULT_FPS
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
@@ -113,9 +132,7 @@ class MotionSequence:
             )
         if not np.all(np.isfinite(self.params)):
             raise ValueError("motion params contain non-finite values")
-        self.fps = float(self.fps)
-        if not 0 < self.fps < np.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        self.fps = positive_f32(self.fps)
 
     def __len__(self) -> int:
         return self.params.shape[0]

@@ -15,13 +15,13 @@ diagnostic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import IncompatibleShapeError
-from .motion_core import FRAME_DIM, MotionSequence
+from .motion_core import DEFAULT_FPS, FRAME_DIM, MotionSequence, positive_f32
 
 
 @dataclass
@@ -44,6 +44,8 @@ class QuantizerConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             if value == np.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.gamma:  # the codebook file holds it as f32
+            positive_f32(self.gamma, "gamma")
 
     @property
     def window_dim(self) -> int:
@@ -89,7 +91,7 @@ class WindowProjection:
 @dataclass
 class LatentSequence:
     vectors: np.ndarray  # (L, d_z)
-    fps_latent: float = 5.0
+    fps_latent: float = DEFAULT_FPS / QuantizerConfig.group_size  # no file stores it, so it is not rounded
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -98,8 +100,7 @@ class LatentSequence:
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("latents contain non-finite values")
         self.fps_latent = float(self.fps_latent)
-        if not self.fps_latent > 0:
-            raise ValueError(f"fps_latent must be positive, got {self.fps_latent}")
+        positive_f32(self.fps_latent, "fps_latent")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -252,7 +253,7 @@ def _nearest_indices(points: np.ndarray, codewords: np.ndarray) -> Tuple[np.ndar
 
 
 def rvq_encode(
-    z: LatentSequence, cb: Codebook, group_size: int = 5
+    z: LatentSequence, cb: Codebook, group_size: int = QuantizerConfig.group_size
 ) -> Tuple[TokenSequence, np.ndarray]:
     """Greedy residual quantization; returns tokens and mean residual norm per level.
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IncompatibleShapeError, StreamProtocolError
-from .motion_core import MotionSequence
+from .motion_core import DEFAULT_FPS, MotionSequence, positive_f32
 from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, pad_to_group, rvq_decode, window_decode
 
 EVENT_KINDS = (
@@ -40,7 +40,7 @@ class AudioFeatureSequence:
     """Audio-aligned feature rows at the motion frame rate."""
 
     features: np.ndarray  # (T, d_h)
-    fps: float = 25.0
+    fps: float = DEFAULT_FPS
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -48,9 +48,7 @@ class AudioFeatureSequence:
             raise IncompatibleShapeError(f"features must be 2-D with >= 1 column, got shape {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        self.fps = float(self.fps)
-        if not 0 < self.fps < np.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        self.fps = positive_f32(self.fps)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -315,6 +313,8 @@ def run_stream(
     payload records the synthesized content duration. Timestamps are the
     running sums of the timing model's delays from 0 ms.
     """
+    if len(features) == 0:
+        raise ValueError("features have no frames")
     chunks = _segment_chunks(features, cfg, segment_tokens)
     timing = timing or TimingModel()
     log = StreamEventLog()

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motion_core import (
+    DEFAULT_FPS,
     EXPRESSION_DIM,
     EYELID_DIM,
     FRAME_DIM,
     BlendshapeModel,
     MotionSequence,
+    positive_f32,
 )
 
 # Geometry constants (meters). The head is centered at the origin with
@@ -53,7 +55,7 @@ class SynthConfig:
     seed: int = 0
     num_vertices: int = 200
     duration_frames: int = 250
-    fps: float = 25.0
+    fps: float = DEFAULT_FPS  # frames are timed with it as given; the motion holds it rounded
     speech_rate_hz: float = 4.0
     expression_amplitude: float = 0.08
     noise_std: float = 0.002
@@ -63,12 +65,13 @@ class SynthConfig:
             raise ValueError(f"num_vertices must be >= {MIN_VERTICES}, got {self.num_vertices}")
         if self.duration_frames < 1:
             raise ValueError(f"duration_frames must be >= 1, got {self.duration_frames}")
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        if self.speech_rate_hz <= 0:
-            raise ValueError(f"speech_rate_hz must be positive, got {self.speech_rate_hz}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        positive_f32(self.fps)
+        if not 0 < self.speech_rate_hz < np.inf:
+            raise ValueError(f"speech_rate_hz must be positive and finite, got {self.speech_rate_hz}")
+        if not np.isfinite(self.expression_amplitude):
+            raise ValueError(f"expression_amplitude must be finite, got {self.expression_amplitude}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
 
     def rng(self, stream: int) -> np.random.Generator:
         """Independent PCG64 stream for one generator stage."""

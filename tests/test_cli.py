@@ -65,6 +65,14 @@ def test_gen_data_vertex_minimum(tmp_path, capsys):
     assert fileio.load_model(out / "model.json").num_vertices == 17
 
 
+@pytest.mark.parametrize("fps", ["1e39", "1e-320"])  # beyond f32 range; 0 as f32
+def test_gen_data_rejects_fps_that_is_not_positive_and_finite_as_f32(tmp_path, capsys, fps):
+    out = tmp_path / "data"
+    assert run("gen-data", "--out", out, "--frames", 5, "--vertices", 17, "--fps", fps) == 4
+    assert "fps must be positive and finite at f32 precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -73,6 +81,22 @@ def test_missing_subcommand_is_usage_error():
 
 # ---------------------------------------------------------------------------
 # fit-codec
+
+
+@pytest.mark.parametrize("gamma", ["1e39", "1e-50"])  # beyond f32 range; 0 as f32
+def test_fit_codec_rejects_gamma_the_codebook_file_cannot_hold(tmp_path, capsys, gamma):
+    data = gen(tmp_path)
+    out = tmp_path / "codec"
+    assert run("fit-codec", "--out", out, "--motion", data / "motion.a2mo", "--gamma", gamma) == 4
+    assert "gamma must be positive and finite at f32 precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_codec_echoes_a_gamma_the_codebook_file_holds(tmp_path):
+    cb_path = fit(tmp_path, gen(tmp_path) / "motion.a2mo", gamma=0.1)
+    manifest = json.loads((cb_path.parent / "fit-codec.manifest.json").read_text())
+    assert manifest["config"]["quantizer"]["gamma"] == 0.1
+    assert fileio.load_codebook(cb_path)[2].gamma == np.float32(0.1)
 
 
 def test_fit_codec_constant_sequence_reports_zero_error(tmp_path):
@@ -191,6 +215,20 @@ def test_decode_rejects_fps_that_is_not_positive_and_finite_as_f32(tmp_path, cap
     assert run("decode", "--out", out, "--codebook", files["codebook"], "--tokens", files["tokens"], "--fps", fps) == 4
     assert "fps must be positive and finite at f32 precision" in capsys.readouterr().err
     assert not (out / "decoded.a2mo").exists()
+
+
+def test_missing_input_file_exits_5(tmp_path, capsys, files):
+    missing = tmp_path / "missing.a2cb"
+    assert run("encode", "--out", tmp_path / "enc", "--codebook", missing, "--motion", files["motion"]) == 5
+    assert f"facemotion encode: I/O error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_exits_5(tmp_path, capsys, files):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert run("encode", "--out", taken, "--codebook", files["codebook"], "--motion", files["motion"]) == 5
+    assert "facemotion encode: I/O error: [Errno 17] File exists" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_decode_excess_frames_exits_4(tmp_path):
@@ -501,6 +539,25 @@ def test_simulate_stream_takes_exactly_the_inputs_its_predictor_reads(tmp_path, 
     assert not out.exists()
 
 
+def test_simulate_stream_rejects_features_without_frames(tmp_path, capsys, files):
+    empty = tmp_path / "empty.a2fe"
+    fileio.save_features(empty, streamsim.AudioFeatureSequence(np.zeros((0, 6))))
+    out = tmp_path / "s"
+    assert run("simulate-stream", "--out", out, "--features", empty, "--codebook", files["codebook"]) == 4
+    assert "simulate-stream: features have no frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_stream_manifest_records_the_seed_only_where_it_is_read(tmp_path, files):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stream": {"seed": 7}}))
+    base = ["simulate-stream", "--features", files["features"], "--codebook", files["codebook"], "--config", config]
+    for predictor, seed in (("uniform", 7), ("hold_last", None)):
+        out = tmp_path / predictor
+        assert run(*base, "--predictor", predictor, "--out", out) == 0
+        assert json.loads((out / "simulate-stream.manifest.json").read_text())["seed"] == seed
+
+
 def test_simulate_stream_rejects_negative_delay_naming_it(tmp_path, capsys, files):
     assert run("simulate-stream", "--out", tmp_path / "s", "--features", files["features"],
                "--codebook", files["codebook"], "--segment-ms", -5) == 4
@@ -650,12 +707,23 @@ def test_codebook_commands_do_not_echo_quantizer_settings_the_file_lacks(tmp_pat
     ("eval-recon", ["--model", "m", "--gt", "g", "--pred", "p"]),
     ("eval-metrics", ["--model", "m", "--gt", "g", "--pred", "p"]),
     ("compare", ["--model", "m", "--reference", "r", "--candidate", "c"]),
+    ("simulate-stream", ["--features", "f", "--codebook", "c", "--predictor", "hold_last"]),
+    ("simulate-stream", ["--features", "f", "--codebook", "c", "--predictor", "oracle", "--gt-tokens", "t"]),
+    ("simulate-stream", ["--features", "f", "--codebook", "c", "--predictor", "retrieval",
+                         "--corpus-features", "f", "--corpus-tokens", "t"]),
 ])
-def test_seed_is_rejected_where_nothing_reads_it(capsys, command, required):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *required, "--seed", "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, required):
+    # simulate-stream takes --seed for its uniform predictor only, so it rejects it after parsing
+    out = tmp_path / "out"
+    try:
+        code = cli.main([command, *required, "--seed", "1", "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    message = ("--seed is read only by the uniform predictor" if command == "simulate-stream"
+               else "unrecognized arguments: --seed 1")
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -109,8 +109,9 @@ def _set_cell(lines, row, value):
         lambda lines: lines.__setitem__(0, "# fps=inf"),
         lambda lines: lines.__setitem__(0, "# fps=0"),
         lambda lines: lines.__setitem__(0, "# fps=1e39"),
+        lambda lines: lines.__delitem__(slice(1, None)),
     ],
-    ids=["word", "nan", "-inf", "beyond-f32", "fps-word", "fps-inf", "fps-zero", "fps-beyond-f32"],
+    ids=["word", "nan", "-inf", "beyond-f32", "fps-word", "fps-inf", "fps-zero", "fps-beyond-f32", "no-header"],
 )
 def test_csv_rejects_bad_values(tmp_path, edit):
     lines = _valid_csv_lines(tmp_path)
@@ -174,10 +175,16 @@ def test_model_rejects_deeply_nested_json(tmp_path):
         fileio.load_model(path)
 
 
+_DELETE = object()  # a value for _set that removes the key
+
+
 def _set(doc, keys, value):
     for key in keys[:-1]:
         doc = doc[key]
-    doc[keys[-1]] = value
+    if value is _DELETE:
+        del doc[keys[-1]]
+    else:
+        doc[keys[-1]] = value
 
 
 @pytest.mark.parametrize(
@@ -203,6 +210,7 @@ def _set(doc, keys, value):
         (["regions", "lips"], None, "integers"),
         (["template", 0, 0], True, "numbers"),
         (["jaw_region"], [True, 1], "integers"),
+        (["eyelid_basis"], _DELETE, "missing model field 'eyelid_basis'"),
     ],
 )
 def test_model_rejects_malformed_fields(tmp_path, keys, value, message):
@@ -321,12 +329,30 @@ def test_features_share_the_motion_layout(tmp_path, rng):
 
 @pytest.mark.parametrize("fps", [1e39, 1e-320])  # beyond f32 range; 0 as f32
 def test_writers_reject_fps_that_is_not_positive_and_finite_as_f32(tmp_path, fps):
+    # The rule lives in the sequence types, so a writer is never handed such an fps.
     path = tmp_path / "out"
-    for save, sequence in ((fileio.save_motion, MotionSequence(np.zeros((2, FRAME_DIM)), fps=fps)),
-                           (fileio.save_features, streamsim.AudioFeatureSequence(np.zeros((2, 3)), fps=fps))):
+    for save, make in ((fileio.save_motion, lambda: MotionSequence(np.zeros((2, FRAME_DIM)), fps=fps)),
+                       (fileio.save_features, lambda: streamsim.AudioFeatureSequence(np.zeros((2, 3)), fps=fps))):
         with pytest.raises(ValueError, match="fps must be positive and finite at f32 precision"):
-            save(path, sequence)
+            make()
+        with pytest.raises(ValueError, match="fps must be positive and finite at f32 precision"):
+            save(path, make())
         assert not path.exists()
+
+
+@pytest.mark.parametrize("fps", [29.97, 25.0 / 3])
+def test_sequences_hold_the_fps_their_files_hold(tmp_path, fps):
+    rows = np.zeros((2, FRAME_DIM))
+    fileio.save_motion(tmp_path / "m.a2mo", MotionSequence(rows, fps=fps))
+    fileio.save_features(tmp_path / "f.a2fe", streamsim.AudioFeatureSequence(rows, fps=fps))
+    fileio.save_motion_csv(tmp_path / "m.csv", MotionSequence(rows, fps=fps))
+    held = float(np.float32(fps))
+    assert held != fps
+    for loaded in (fileio.load_motion(tmp_path / "m.a2mo"), fileio.load_features(tmp_path / "f.a2fe"),
+                   fileio.load_motion_csv(tmp_path / "m.csv"), MotionSequence(rows, fps=fps),
+                   streamsim.AudioFeatureSequence(rows, fps=fps), metrics.MetricsConfig(fps=fps)):
+        assert loaded.fps == held
+        assert type(loaded.fps) is float
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +508,7 @@ def test_binary_header_layout(tmp_path, kind):
         ("a2mo", lambda b: _patch(b, 8, "<f", NAN), "fps"),
         ("a2mo", lambda b: _patch(b, 8, "<f", INF), "fps"),
         ("a2mo", lambda b: _patch(b, 20, "<f", INF), "non-finite"),
+        ("a2mo", lambda b: _patch(b, 16, "<I", FRAME_DIM // 2), "frame dim must be 58, got 29"),
         ("a2fe", lambda b: b + bytes(4), "trailing"),
         ("a2fe", lambda b: _patch(b, 8, "<f", NAN), "fps"),
         ("a2fe", lambda b: _patch(b, 24, "<f", NAN), "non-finite"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from facemotion import losses, rvq
+from facemotion import fileio, losses, metrics, rvq
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
 from facemotion.motion_core import BlendshapeModel, MotionSequence
 
@@ -263,3 +263,17 @@ def test_gamma_is_the_codec_setting(seed0_model, rng):
     half = losses.total_losses(seed0_model, a, b, z=z, q=q, gamma=0.5)
     assert half.codebook_term == default.codebook_term
     assert half.commit_term == 0.5 * half.codebook_term
+
+
+@pytest.mark.parametrize("suffix, save, load", [
+    ("a2mo", fileio.save_motion, fileio.load_motion),
+    ("csv", fileio.save_motion_csv, fileio.load_motion_csv),
+])
+def test_a_clip_scores_against_its_saved_copy(tmp_path, seed0_model, seed0_motion, suffix, save, load):
+    # 29.97 is not an f32 value; the clip and its file both hold 29.969999313354492
+    clip = MotionSequence(seed0_motion.params[:30].astype(np.float32).astype(np.float64), fps=29.97)
+    save(tmp_path / f"clip.{suffix}", clip)
+    saved = load(tmp_path / f"clip.{suffix}")
+    assert saved.fps == clip.fps
+    assert losses.total_losses(seed0_model, clip, saved).l_rec == 0.0
+    assert metrics.full_report(seed0_model, saved, clip).mod_mm == 0.0

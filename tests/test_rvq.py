@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from facemotion import rvq, synth
+from facemotion import losses, rvq, synth
 from facemotion.errors import IncompatibleShapeError
 from facemotion.motion_core import FRAME_DIM, MotionSequence
 
@@ -18,6 +18,14 @@ def test_quantizer_config_rejects_non_finite_dead_code_threshold(value, message)
     # gamma's NaN and infinity are checked through a forged .a2cb in test_fileio
     with pytest.raises(ValueError, match="dead_code_threshold " + message):
         small_cfg(dead_code_threshold=value)
+
+
+def test_quantizer_config_takes_only_a_gamma_the_codebook_file_holds():
+    assert small_cfg(gamma=0.0).gamma == 0.0
+    assert small_cfg(gamma=0.1).gamma == 0.1  # kept as given; the file holds its f32 rounding
+    for gamma in (1e39, 1e-50):  # beyond f32 range; 0 as f32
+        with pytest.raises(ValueError, match="gamma must be positive and finite at f32 precision"):
+            small_cfg(gamma=gamma)
 
 
 def random_motion(rng, t=10, fps=25.0):
@@ -83,6 +91,29 @@ def test_window_decode_identity_round_trip(rng):
     out = rvq.window_decode(z, proj, cfg, original_t=10)
     np.testing.assert_array_equal(out.params, m.params)
     assert out.fps == m.fps
+
+
+@pytest.mark.parametrize("fps", [25.0, 30.0, 29.97])
+def test_codec_round_trip_keeps_the_clip_fps(seed0_model, seed0_motion, rng, fps):
+    # fps / G * G is not fps in f64 for every G (25 / 11 * 11 is 25.000000000000004); f32 rounding restores it
+    clip = MotionSequence(seed0_motion.params[:40], fps=fps)
+    for g in range(1, 17):
+        cfg = small_cfg(group_size=g, latent_dim=3)
+        proj = random_projection(rng, 3, cfg.window_dim)
+        cb = rvq.Codebook(rng.standard_normal((2, 8, 3)))
+        z = rvq.window_encode(clip, proj, cfg)
+        tokens, _ = rvq.rvq_encode(z, cb, group_size=g)
+        q = rvq.rvq_decode(tokens, cb, fps_latent=z.fps_latent)
+        decoded = rvq.window_decode(q, proj, cfg, original_t=len(clip))
+        assert decoded.fps == clip.fps, g
+        losses.total_losses(seed0_model, clip, decoded, z=z, q=q)
+
+
+def test_latent_rate_must_be_positive_and_finite():
+    assert rvq.LatentSequence(np.zeros((1, 2)), fps_latent=25.0 / 3).fps_latent == 25.0 / 3  # not rounded
+    for bad in (0.0, -5.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="fps_latent must be positive and finite"):
+            rvq.LatentSequence(np.zeros((1, 2)), fps_latent=bad)
 
 
 def test_window_decode_discards_padding(rng):

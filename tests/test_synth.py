@@ -100,6 +100,22 @@ def test_config_validation():
             synth.SynthConfig(noise_std=noise_std)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("speech_rate_hz", float("nan")), ("speech_rate_hz", float("inf")),
+    ("expression_amplitude", float("nan")), ("expression_amplitude", float("-inf")),
+    ("noise_std", float("inf")), ("fps", 1e39), ("fps", 1e-320),
+])
+def test_config_rejects_non_finite_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        synth.SynthConfig(**{field: value})
+
+
+def test_config_keeps_its_fps_and_the_motion_holds_it_at_f32():
+    cfg = synth.SynthConfig(duration_frames=3, fps=29.97)
+    assert cfg.fps == 29.97
+    assert synth.make_motion(cfg).fps == float(np.float32(29.97))
+
+
 def test_smallest_model_has_an_orthonormal_expression_basis():
     # 3N >= 50 rows are needed for the QR of the (3N, 50) expression basis
     model = synth.make_model(synth.SynthConfig(num_vertices=synth.MIN_VERTICES))
