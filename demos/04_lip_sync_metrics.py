@@ -13,7 +13,7 @@ from facemotion.motion_core import MotionSequence
 cfg = SynthConfig(seed=0, duration_frames=250)
 model = make_model(cfg)
 reference = make_motion(cfg)
-mcfg = MetricsConfig(fps=25.0)
+mcfg = MetricsConfig()
 
 lagged = MotionSequence(np.roll(reference.params, 3, axis=0), fps=25.0)  # 120 ms late
 kernel = np.ones(11) / 11.0

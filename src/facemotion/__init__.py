@@ -33,19 +33,8 @@ from .rvq import (
     window_decode,
     window_encode,
 )
-from .losses import LossReport, LossWeights, dyn_loss, geo_loss, param_loss, total_losses
-from .metrics import (
-    MetricsConfig,
-    MetricsReport,
-    full_report,
-    lip_width_corr,
-    liveliness,
-    mod_metric,
-    peak_align,
-    temporal_corr,
-    ufd,
-    velocity_corr,
-)
+from .losses import LossReport, LossWeights, total_losses
+from .metrics import MetricsConfig, MetricsReport, full_report, liveliness, peak_align, ufd, velocity_corr
 from .streamsim import (
     AudioFeatureSequence,
     LatencyReport,

@@ -8,13 +8,12 @@ only where the command reads it.
 
 Configuration (CONFIG_SECTIONS): --config names a JSON object with optional
 sections "synth" (synth.SynthConfig), "quantizer" (rvq.QuantizerConfig),
-"weights" (losses.LossWeights), "metrics" (metrics.MetricsConfig but fps,
-which is the reference clip's) and "stream" (streamsim.TimingModel plus
-segment_tokens and seed), keyed by field name. Every key has a flag whose
-dest is the key. A flag beats the file, which beats the dataclass default.
-Each command checks the whole file first: an unknown section or key, or a
-value that is not a finite number (an integral one for int fields), is a
-format error.
+"weights" (losses.LossWeights), "metrics" (metrics.MetricsConfig) and
+"stream" (streamsim.TimingModel plus segment_tokens and seed), keyed by
+field name. Every key has a flag whose dest is the key. A flag beats the
+file, which beats the dataclass default. Each command checks the whole file
+first: an unknown section or key, or a value that is not a finite number (an
+integral one for int fields), is a format error.
 
 Exit codes: 0 success, 2 usage error, 3 file-format error (including bad
 config files), 4 computation or input error (mismatched lengths, invalid
@@ -43,9 +42,9 @@ EXIT_COMPUTE = 4
 EXIT_IO = 5
 
 
-def _schema(cls, *skip) -> dict:
+def _schema(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
 
 
 # Config-file sections: key -> (type, default), all read from the dataclasses.
@@ -53,7 +52,7 @@ CONFIG_SECTIONS = {
     "synth": _schema(synth.SynthConfig),
     "quantizer": _schema(rvq.QuantizerConfig),
     "weights": _schema(losses.LossWeights),
-    "metrics": _schema(metrics.MetricsConfig, "fps"),
+    "metrics": _schema(metrics.MetricsConfig),
     "stream": {
         **_schema(streamsim.TimingModel),
         "segment_tokens": (int, streamsim.SEGMENT_TOKENS),
@@ -328,7 +327,7 @@ def cmd_eval_metrics(args, config) -> Outcome:
     model = fileio.load_model(args.model)
     gt = _load_motion_any(args.gt)
     pred = _load_motion_any(args.pred)
-    mcfg = metrics.MetricsConfig(fps=gt.fps, **_settings(args, config, "metrics"))
+    mcfg = metrics.MetricsConfig(**_settings(args, config, "metrics"))
     report = metrics.full_report(model, pred, gt, mcfg)
     out = _out_dir(args)
     report_path = out / "metrics_report.json"
@@ -355,7 +354,7 @@ _METRIC_TARGETS = {
 def cmd_compare(args, config) -> Outcome:
     model = fileio.load_model(args.model)
     reference = _load_motion_any(args.reference)
-    mcfg = metrics.MetricsConfig(fps=reference.fps, **_settings(args, config, "metrics"))
+    mcfg = metrics.MetricsConfig(**_settings(args, config, "metrics"))
     ref_ufd = metrics.ufd(model, reference)
 
     names, reports = [], []

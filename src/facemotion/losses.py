@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, check_pair, sequence_vertex_array
+from .motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, check_pair, forward_batch, nonnegative_finite
 from .rvq import LatentSequence, QuantizerConfig, commitment_loss
 
 REDUCTION = "mean_over_frames_and_dims"
@@ -53,11 +53,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("w_param", "w_geo", "w_dyn", "lambda_vq"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-            if value == np.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+            nonnegative_finite(getattr(self, name), name)
 
     def to_dict(self) -> Dict[str, float]:
         return asdict(self)
@@ -82,21 +78,6 @@ class LossReport:
         return {"values": values, "weights": weights, "reduction": REDUCTION}
 
 
-def param_loss(m: MotionSequence, m_hat: MotionSequence) -> float:
-    """Mean squared difference over frames and the 58 channels."""
-    check_pair(m, m_hat)
-    return float(np.mean((m.params - m_hat.params) ** 2))
-
-
-def _zero_posed_pair(
-    model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
-) -> Tuple[np.ndarray, np.ndarray]:
-    return (
-        sequence_vertex_array(model, m, zero_posed=True),
-        sequence_vertex_array(model, m_hat, zero_posed=True),
-    )
-
-
 def _region_mse(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
     """``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)``, bit for bit (see the
     module docstring), without the gathered arrays."""
@@ -108,10 +89,6 @@ def _region_mse(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
         np.subtract(v[start:stop, idx], v_hat[start:stop, idx], out=d)
         np.square(d, out=d)
     return float(np.mean(sq))
-
-
-def _geo_terms(model: BlendshapeModel, v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
-    return _region_mse(v, v_hat, model.region("lips")), _region_mse(v, v_hat, model.region("face"))
 
 
 def _fill_squared_diff(sq: np.ndarray, v: np.ndarray, v_hat: np.ndarray, n: int) -> None:
@@ -133,26 +110,6 @@ def _dyn_terms(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
     return l_vel, float(np.mean(acc))
 
 
-def geo_loss(
-    model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
-) -> Tuple[float, float]:
-    """(l_lips, l_face): mean squared vertex error per region, zero-pose space."""
-    check_pair(m, m_hat)
-    return _geo_terms(model, *_zero_posed_pair(model, m, m_hat))
-
-
-def dyn_loss(
-    model: BlendshapeModel, m: MotionSequence, m_hat: MotionSequence
-) -> Tuple[float, float]:
-    """(l_vel, l_acc): mean squared error of first/second vertex differences.
-
-    Differences are forward differences on the full zero-posed vertex
-    sequence (lengths T-1 and T-2), no padding.
-    """
-    check_pair(m, m_hat, min_len=3)
-    return _dyn_terms(*_zero_posed_pair(model, m, m_hat))
-
-
 def total_losses(
     model: BlendshapeModel,
     m: MotionSequence,
@@ -164,15 +121,19 @@ def total_losses(
 ) -> LossReport:
     """Itemized loss report; z/q omitted means the quantizer terms are zero.
 
-    Each sequence is rendered once; the geo and dyn terms share the arrays.
-    The quantizer terms enter l_vqvae scaled by ``lambda_vq``; ``gamma``
-    is the codec's commitment weight (``QuantizerConfig.gamma``).
+    Each sequence is rendered once, in zero-pose space; the geo and dyn terms
+    share the arrays. The dyn terms are forward differences (lengths T-1 and
+    T-2, no padding), so the pair needs at least 3 frames. The quantizer
+    terms enter l_vqvae scaled by ``lambda_vq``; ``gamma`` is the codec's
+    commitment weight (``QuantizerConfig.gamma``).
     """
     w = weights or LossWeights()
     check_pair(m, m_hat, min_len=3)
-    l_param = param_loss(m, m_hat)
-    v, v_hat = _zero_posed_pair(model, m, m_hat)
-    l_lips, l_face = _geo_terms(model, v, v_hat)
+    l_param = float(np.mean((m.params - m_hat.params) ** 2))
+    v = forward_batch(model, m.params, zero_posed=True)
+    v_hat = forward_batch(model, m_hat.params, zero_posed=True)
+    l_lips = _region_mse(v, v_hat, model.region("lips"))
+    l_face = _region_mse(v, v_hat, model.region("face"))
     l_vel, l_acc = _dyn_terms(v, v_hat)
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:

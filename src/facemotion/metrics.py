@@ -18,25 +18,21 @@ from .errors import IncompatibleShapeError, ModelConfigError
 from .motion_core import (
     FRAME_DIM,
     LANDMARK_NAMES,
-    DEFAULT_FPS,
     BlendshapeModel,
     MotionSequence,
     check_pair,
     forward_batch,
-    positive_f32,
     landmark_distance,
 )
 
 
 @dataclass
 class MetricsConfig:
-    fps: float = DEFAULT_FPS
     epsilon: float = 1e-8
     peak_min_prominence: float = 0.05  # fraction of signal range
     peak_min_distance: int = 3  # frames
 
     def __post_init__(self):
-        self.fps = positive_f32(self.fps)
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.peak_min_prominence < 1.0:
@@ -83,14 +79,6 @@ def opening_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
 def width_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
     """Mouth-width distance per frame, zero-pose space."""
     return _landmark_series(model, m, "left_corner", "right_corner")
-
-
-def mod_metric(model: BlendshapeModel, pred: MotionSequence, gt: MotionSequence) -> float:
-    """Mean absolute mouth-opening error in millimeters."""
-    check_pair(pred, gt)
-    o_pred = opening_series(model, pred)
-    o_gt = opening_series(model, gt)
-    return float(np.mean(np.abs(o_pred - o_gt)) * 1000.0)
 
 
 def _upper_face(model: BlendshapeModel) -> np.ndarray:
@@ -142,11 +130,6 @@ def pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     return min(1.0, max(-1.0, value))
 
 
-def temporal_corr(o_pred: np.ndarray, o_gt: np.ndarray) -> Optional[float]:
-    """Pearson correlation of the mouth-opening series."""
-    return pearson(o_pred, o_gt)
-
-
 def velocity_corr(o_pred: np.ndarray, o_gt: np.ndarray) -> Optional[float]:
     """Pearson correlation of first differences of the opening series."""
     o_pred = np.asarray(o_pred, dtype=np.float64)
@@ -154,11 +137,6 @@ def velocity_corr(o_pred: np.ndarray, o_gt: np.ndarray) -> Optional[float]:
     if o_pred.size < 3 or o_gt.size < 3:
         raise ValueError("velocity correlation needs at least 3 samples")
     return pearson(np.diff(o_pred), np.diff(o_gt))
-
-
-def lip_width_corr(w_pred: np.ndarray, w_gt: np.ndarray) -> Optional[float]:
-    """Pearson correlation of the mouth-width series."""
-    return pearson(w_pred, w_gt)
 
 
 def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = MetricsConfig.epsilon) -> float:
@@ -222,15 +200,16 @@ def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -
     return np.flatnonzero(accepted).astype(np.int64)
 
 
-def peak_align(o_pred: np.ndarray, o_gt: np.ndarray, cfg: MetricsConfig) -> Optional[float]:
+def peak_align(o_pred: np.ndarray, o_gt: np.ndarray, cfg: MetricsConfig, fps: float) -> Optional[float]:
     """Median absolute time offset (ms) between each reference peak and its
-    nearest predicted peak; None when either series has no detected peak."""
+    nearest predicted peak, for series sampled at ``fps``; None when either
+    series has no detected peak."""
     p_pred = detect_peaks(o_pred, cfg.peak_min_prominence, cfg.peak_min_distance)
     p_gt = detect_peaks(o_gt, cfg.peak_min_prominence, cfg.peak_min_distance)
     if p_pred.size == 0 or p_gt.size == 0:
         return None
     diffs = np.array([np.min(np.abs(p_pred - g)) for g in p_gt], dtype=np.float64)
-    return float(np.median(diffs) * 1000.0 / cfg.fps)
+    return float(np.median(diffs) * 1000.0 / fps)
 
 
 def full_report(
@@ -239,8 +218,9 @@ def full_report(
     gt: MotionSequence,
     cfg: Optional[MetricsConfig] = None,
 ) -> MetricsReport:
-    """All seven metrics on an aligned prediction/reference pair (see ``check_pair``)."""
-    cfg = cfg or MetricsConfig(fps=gt.fps)
+    """All seven metrics on an aligned prediction/reference pair (see ``check_pair``),
+    timed at the pair's fps."""
+    cfg = cfg or MetricsConfig()
     check_pair(pred, gt, min_len=3)
     # one zero-posed render per sequence: the mouth landmarks, plus the
     # upper_face region for pred
@@ -252,16 +232,16 @@ def full_report(
     o_gt, w_gt = landmark_distance(v_gt, 0, 1), landmark_distance(v_gt, 2, 3)
 
     undefined: Dict[str, str] = {}
-    t_corr = temporal_corr(o_pred, o_gt)
+    t_corr = pearson(o_pred, o_gt)
     if t_corr is None:
         undefined["temporal_corr"] = "zero variance"
     v_corr = velocity_corr(o_pred, o_gt)
     if v_corr is None:
         undefined["velocity_corr"] = "zero variance"
-    w_corr = lip_width_corr(w_pred, w_gt)
+    w_corr = pearson(w_pred, w_gt)
     if w_corr is None:
         undefined["lip_width_corr"] = "zero variance"
-    align = peak_align(o_pred, o_gt, cfg)
+    align = peak_align(o_pred, o_gt, cfg, gt.fps)
     if align is None:
         undefined["peak_align_ms"] = "no peaks detected"
 

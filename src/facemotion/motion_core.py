@@ -65,7 +65,7 @@ LANDMARK_NAMES = ("upper_lip", "lower_lip", "left_corner", "right_corner")
 # output.
 _BLOCK_FRAMES = 128
 
-# The frame rate a sequence, a metrics config or a synthetic clip gets when none is given.
+# The frame rate a sequence or a synthetic clip gets when none is given.
 DEFAULT_FPS = 25.0
 
 _F32 = struct.Struct("<f")
@@ -82,6 +82,13 @@ def positive_f32(value, name: str = "fps") -> float:
     if not 0 < rounded < np.inf:
         raise ValueError(f"{name} must be positive and finite at f32 precision, got {value!r}")
     return rounded
+
+
+def nonnegative_finite(value, name: str) -> None:
+    """The rule for weights, thresholds, delays and noise levels: ``value`` must be finite and >= 0;
+    ValueError naming ``name`` otherwise."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _as_float_array(x, shape, name: str) -> np.ndarray:
@@ -294,6 +301,6 @@ def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
 
 
-def sequence_vertex_array(model: BlendshapeModel, m: MotionSequence, zero_posed: bool = False) -> np.ndarray:
-    """Stacked (T, N, 3) vertex array, optionally in zero-pose space."""
-    return forward_batch(model, m.params, zero_posed=zero_posed)
+def sequence_vertex_array(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
+    """Stacked (T, N, 3) posed vertex array."""
+    return forward_batch(model, m.params)

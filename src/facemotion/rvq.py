@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import IncompatibleShapeError
-from .motion_core import DEFAULT_FPS, FRAME_DIM, MotionSequence, positive_f32
+from .motion_core import DEFAULT_FPS, FRAME_DIM, MotionSequence, nonnegative_finite, positive_f32
 
 
 @dataclass
@@ -39,11 +39,7 @@ class QuantizerConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("gamma", "dead_code_threshold"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            if value == np.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+            nonnegative_finite(getattr(self, name), name)
         if self.gamma:  # the codebook file holds it as f32
             positive_f32(self.gamma, "gamma")
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IncompatibleShapeError, StreamProtocolError
-from .motion_core import DEFAULT_FPS, MotionSequence, positive_f32
+from .motion_core import DEFAULT_FPS, MotionSequence, nonnegative_finite, positive_f32
 from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, pad_to_group, rvq_decode, window_decode
 
 EVENT_KINDS = (
@@ -280,8 +280,7 @@ class TimingModel:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite delay >= 0, got {value}")
+            nonnegative_finite(value, name)
 
 
 def _segment_chunks(
@@ -368,8 +367,8 @@ def hierarchical_ce(pred_dists: np.ndarray, targets: TokenSequence) -> float:
     """Sum over levels of the mean cross-entropy -log p(target), natural log.
 
     pred_dists has shape (L, N_q, K) with each (position, level) row a
-    probability distribution (sum within 1e-6 of 1). A zero probability at
-    any target makes the result +inf.
+    probability distribution: finite entries >= 0 that sum to 1 within 1e-6.
+    A zero probability at any target makes the result +inf.
     """
     dists = np.asarray(pred_dists, dtype=np.float64)
     if dists.ndim != 3:
@@ -379,6 +378,8 @@ def hierarchical_ce(pred_dists: np.ndarray, targets: TokenSequence) -> float:
         raise IncompatibleShapeError("pred_dists shape does not match target token grid")
     if n == 0:
         raise ValueError("cannot score an empty token grid")
+    if not np.all((dists >= 0.0) & (dists < np.inf)):  # False for NaN too
+        raise ValueError("pred_dists must hold finite probabilities >= 0")
     sums = dists.sum(axis=2)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValueError("pred_dists rows must each sum to 1 within 1e-6")

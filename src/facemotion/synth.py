@@ -22,6 +22,7 @@ from .motion_core import (
     FRAME_DIM,
     BlendshapeModel,
     MotionSequence,
+    nonnegative_finite,
     positive_f32,
 )
 
@@ -70,8 +71,7 @@ class SynthConfig:
             raise ValueError(f"speech_rate_hz must be positive and finite, got {self.speech_rate_hz}")
         if not np.isfinite(self.expression_amplitude):
             raise ValueError(f"expression_amplitude must be finite, got {self.expression_amplitude}")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
+        nonnegative_finite(self.noise_std, "noise_std")
 
     def rng(self, stream: int) -> np.random.Generator:
         """Independent PCG64 stream for one generator stage."""
@@ -158,7 +158,7 @@ def _smooth(x: np.ndarray, window: int) -> np.ndarray:
     out = np.empty_like(x)
     for c in range(x.shape[1]):
         padded = np.concatenate([np.full(pad, x[0, c]), x[:, c], np.full(pad, x[-1, c])])
-        out[:, c] = np.convolve(padded, kernel, mode="same")[pad:-pad]
+        out[:, c] = np.convolve(padded, kernel, mode="valid")
     return out
 
 

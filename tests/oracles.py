@@ -301,3 +301,18 @@ def dyn_terms_formula(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
     vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
     acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
     return float(np.mean((vel - vel_hat) ** 2)), float(np.mean((acc - acc_hat) ** 2))
+
+
+def smooth_same_mode(x: np.ndarray, window: int) -> np.ndarray:
+    """Hann smoothing of each column of an edge-padded (T, C) array as a
+    "same"-mode convolution of the whole padded column, cropped to the clip."""
+    if window <= 1 or x.shape[0] < 3:
+        return x
+    kernel = np.hanning(window + 2)[1:-1]
+    kernel /= kernel.sum()
+    pad = window // 2
+    out = np.empty_like(x)
+    for c in range(x.shape[1]):
+        padded = np.concatenate([np.full(pad, x[0, c]), x[:, c], np.full(pad, x[-1, c])])
+        out[:, c] = np.convolve(padded, kernel, mode="same")[pad:-pad]
+    return out

@@ -126,7 +126,7 @@ def c07_peak_alignment_anchor():
         gt[p] = 1.0
     for p in (13, 52):
         pred[p] = 1.0
-    value = metrics.peak_align(pred, gt, metrics.MetricsConfig(fps=25.0))
+    value = metrics.peak_align(pred, gt, metrics.MetricsConfig(), 25.0)
     return {"criterion": 7, "peak_align_ms": value}, time.perf_counter() - t0
 
 

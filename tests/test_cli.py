@@ -561,7 +561,7 @@ def test_simulate_stream_manifest_records_the_seed_only_where_it_is_read(tmp_pat
 def test_simulate_stream_rejects_negative_delay_naming_it(tmp_path, capsys, files):
     assert run("simulate-stream", "--out", tmp_path / "s", "--features", files["features"],
                "--codebook", files["codebook"], "--segment-ms", -5) == 4
-    assert "segment_ms must be a finite delay >= 0, got -5.0" in capsys.readouterr().err
+    assert "segment_ms must be finite and >= 0, got -5.0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +744,7 @@ def test_float_flags_reject_non_finite_values(tmp_path, capsys, argv, flag):
 def test_gen_data_rejects_negative_noise(tmp_path, capsys):
     out = tmp_path / "data"
     assert run("gen-data", "--out", out, "--frames", 5, "--vertices", 17, "--noise-std", -1) == 4
-    assert "noise_std must be >= 0" in capsys.readouterr().err
+    assert "noise_std must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert not (out / "motion.a2mo").exists()
 
 

@@ -350,7 +350,7 @@ def test_sequences_hold_the_fps_their_files_hold(tmp_path, fps):
     assert held != fps
     for loaded in (fileio.load_motion(tmp_path / "m.a2mo"), fileio.load_features(tmp_path / "f.a2fe"),
                    fileio.load_motion_csv(tmp_path / "m.csv"), MotionSequence(rows, fps=fps),
-                   streamsim.AudioFeatureSequence(rows, fps=fps), metrics.MetricsConfig(fps=fps)):
+                   streamsim.AudioFeatureSequence(rows, fps=fps)):
         assert loaded.fps == held
         assert type(loaded.fps) is float
 
@@ -423,7 +423,9 @@ def test_metrics_report_serializes_undefined_flags(tmp_path, seed0_model):
     doc = fileio.load_report(path)
     assert doc["values"]["temporal_corr"] is None
     assert doc["undefined"]["temporal_corr"] == "zero variance"
-    assert doc["config"]["fps"] == 25.0
+    # no frame rate: peak alignment is timed at the clips' own fps
+    assert doc["config"] == {"epsilon": 1e-8, "peak_min_prominence": 0.05, "peak_min_distance": 3,
+                             "std_convention": "population"}
 
 
 def test_latency_report_serialization(tmp_path):

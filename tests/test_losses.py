@@ -4,7 +4,7 @@ import pytest
 import oracles
 from facemotion import fileio, losses, metrics, rvq
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
-from facemotion.motion_core import BlendshapeModel, MotionSequence
+from facemotion.motion_core import BlendshapeModel, MotionSequence, forward_batch
 
 
 def unit_basis_model(n=12, lips=(0, 1, 2), face=(0, 1, 2, 3, 4, 5, 6, 7), upper=(8, 9)):
@@ -29,46 +29,52 @@ def seeded_pair(rng, t=12, scale=0.05):
 
 
 # ---------------------------------------------------------------------------
-# param_loss
+# l_param
 
 
-def test_param_loss_identical_is_zero(rng):
+def test_param_loss_identical_is_zero(seed0_model, rng):
     m, _ = seeded_pair(rng)
-    assert losses.param_loss(m, m) == 0.0
+    assert losses.total_losses(seed0_model, m, m).l_param == 0.0
 
 
 def test_param_loss_single_channel_anchor():
-    a = MotionSequence(np.zeros((1, 58)))
-    b_params = np.zeros((1, 58))
-    b_params[0, 17] = 2.0
+    a = MotionSequence(np.zeros((3, 58)))
+    b_params = np.zeros((3, 58))
+    b_params[:, 17] = 2.0
     b = MotionSequence(b_params)
-    assert losses.param_loss(a, b) == pytest.approx(4.0 / 58.0, rel=1e-15)
+    assert losses.total_losses(unit_basis_model(), a, b).l_param == pytest.approx(4.0 / 58.0, rel=1e-15)
 
 
-def test_param_loss_matches_summation_oracle(rng):
+def test_param_loss_matches_summation_oracle(seed0_model, rng):
     a, b = seeded_pair(rng)
-    assert losses.param_loss(a, b) == pytest.approx(oracles.mean_squared(a.params - b.params), rel=1e-12)
+    got = losses.total_losses(seed0_model, a, b).l_param
+    assert got == pytest.approx(oracles.mean_squared(a.params - b.params), rel=1e-12)
 
 
-def test_param_loss_length_mismatch(rng):
+def test_param_loss_length_mismatch(seed0_model, rng):
     a, _ = seeded_pair(rng, t=5)
     b, _ = seeded_pair(rng, t=6)
     with pytest.raises(IncompatibleShapeError):
-        losses.param_loss(a, b)
+        losses.total_losses(seed0_model, a, b)
 
 
-def test_param_loss_symmetry(rng):
+def test_param_loss_symmetry(seed0_model, rng):
     a, b = seeded_pair(rng)
-    assert losses.param_loss(a, b) == losses.param_loss(b, a)
+    assert losses.total_losses(seed0_model, a, b).l_param == losses.total_losses(seed0_model, b, a).l_param
 
 
 # ---------------------------------------------------------------------------
-# geo_loss
+# l_lips, l_face
+
+
+def geo_terms(model, a, b):
+    report = losses.total_losses(model, a, b)
+    return report.l_lips, report.l_face
 
 
 def test_geo_loss_identical_is_zero(seed0_model, rng):
     m, _ = seeded_pair(rng, t=4)
-    assert losses.geo_loss(seed0_model, m, m) == (0.0, 0.0)
+    assert geo_terms(seed0_model, m, m) == (0.0, 0.0)
 
 
 def test_geo_loss_single_vertex_single_frame_anchor():
@@ -78,18 +84,16 @@ def test_geo_loss_single_vertex_single_frame_anchor():
     params = np.zeros((t, 58))
     params[2, 0] = 1e-3  # moves one lip vertex by 1e-3 m in frame 2
     b = MotionSequence(params)
-    l_lips, l_face = losses.geo_loss(model, a, b)
+    l_lips, l_face = geo_terms(model, a, b)
     assert l_lips == pytest.approx(1e-6 / (t * 3 * 3), rel=1e-12)  # |lips| = 3
     assert l_face == pytest.approx(1e-6 / (t * 8 * 3), rel=1e-12)  # |face| = 8
 
 
 def test_geo_loss_matches_vertex_oracle(seed0_model, rng):
-    from facemotion.motion_core import sequence_vertex_array
-
     a, b = seeded_pair(rng, t=5)
-    l_lips, l_face = losses.geo_loss(seed0_model, a, b)
-    va = sequence_vertex_array(seed0_model, a, zero_posed=True)
-    vb = sequence_vertex_array(seed0_model, b, zero_posed=True)
+    l_lips, l_face = geo_terms(seed0_model, a, b)
+    va = forward_batch(seed0_model, a.params, zero_posed=True)
+    vb = forward_batch(seed0_model, b.params, zero_posed=True)
     lips = seed0_model.region("lips")
     face = seed0_model.region("face")
     assert l_lips == pytest.approx(oracles.mean_squared(va[:, lips] - vb[:, lips]), rel=1e-12)
@@ -101,27 +105,32 @@ def test_geo_loss_missing_region():
     model.regions.pop("face")
     a = MotionSequence(np.zeros((3, 58)))
     with pytest.raises(ModelConfigError):
-        losses.geo_loss(model, a, a)
+        losses.total_losses(model, a, a)
 
 
 def test_geo_loss_invariant_to_shared_global_pose(seed0_model, rng):
     a, b = seeded_pair(rng, t=4)
-    base = losses.geo_loss(seed0_model, a, b)
+    base = geo_terms(seed0_model, a, b)
     pose = np.array([0.4, -0.2, 0.1])
     ap = MotionSequence(a.params.copy())
     bp = MotionSequence(b.params.copy())
     ap.params[:, 53:56] = pose
     bp.params[:, 53:56] = pose
-    assert losses.geo_loss(seed0_model, ap, bp) == base
+    assert geo_terms(seed0_model, ap, bp) == base
 
 
 # ---------------------------------------------------------------------------
-# dyn_loss
+# l_vel, l_acc
+
+
+def dyn_terms(model, a, b):
+    report = losses.total_losses(model, a, b)
+    return report.l_vel, report.l_acc
 
 
 def test_dyn_loss_identical_is_zero(seed0_model, rng):
     m, _ = seeded_pair(rng, t=5)
-    assert losses.dyn_loss(seed0_model, m, m) == (0.0, 0.0)
+    assert dyn_terms(seed0_model, m, m) == (0.0, 0.0)
 
 
 def test_dyn_loss_cancels_constant_offset(seed0_model, rng):
@@ -130,18 +139,16 @@ def test_dyn_loss_cancels_constant_offset(seed0_model, rng):
     shifted = a.params.copy()
     shifted[:, 3] += 0.05  # constant expression offset -> constant vertex offset
     b = MotionSequence(shifted)
-    l_vel, l_acc = losses.dyn_loss(seed0_model, a, b)
+    l_vel, l_acc = dyn_terms(seed0_model, a, b)
     assert l_vel < 1e-28
     assert l_acc < 1e-28
 
 
 def test_dyn_loss_matches_difference_oracle(seed0_model, rng):
-    from facemotion.motion_core import sequence_vertex_array
-
     a, b = seeded_pair(rng, t=6)
-    l_vel, l_acc = losses.dyn_loss(seed0_model, a, b)
-    va = sequence_vertex_array(seed0_model, a, zero_posed=True)
-    vb = sequence_vertex_array(seed0_model, b, zero_posed=True)
+    l_vel, l_acc = dyn_terms(seed0_model, a, b)
+    va = forward_batch(seed0_model, a.params, zero_posed=True)
+    vb = forward_batch(seed0_model, b.params, zero_posed=True)
     dva, dvb = np.diff(va, axis=0), np.diff(vb, axis=0)
     assert l_vel == pytest.approx(oracles.mean_squared(dva - dvb), rel=1e-12)
     assert l_acc == pytest.approx(oracles.mean_squared(np.diff(dva, axis=0) - np.diff(dvb, axis=0)), rel=1e-12)
@@ -150,7 +157,7 @@ def test_dyn_loss_matches_difference_oracle(seed0_model, rng):
 def test_dyn_loss_too_short(seed0_model, rng):
     a, b = seeded_pair(rng, t=2)
     with pytest.raises(ValueError):
-        losses.dyn_loss(seed0_model, a, b)
+        losses.total_losses(seed0_model, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +222,10 @@ def test_lambda_vq_scales_quantizer_terms(seed0_model, rng):
 
 
 def test_total_losses_end_to_end_oracle(seed0_model, rng):
-    from facemotion.motion_core import sequence_vertex_array
-
     a, b = seeded_pair(rng, t=6)
     report = losses.total_losses(seed0_model, a, b)
-    va = sequence_vertex_array(seed0_model, a, zero_posed=True)
-    vb = sequence_vertex_array(seed0_model, b, zero_posed=True)
+    va = forward_batch(seed0_model, a.params, zero_posed=True)
+    vb = forward_batch(seed0_model, b.params, zero_posed=True)
     lips = seed0_model.region("lips")
     face = seed0_model.region("face")
     expected = (
@@ -236,20 +241,20 @@ def test_total_losses_end_to_end_oracle(seed0_model, rng):
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="w_geo must be finite and >= 0, got -1.0"):
         losses.LossWeights(w_geo=-1.0)
 
 
 @pytest.mark.parametrize("name", ["w_param", "w_geo", "w_dyn", "lambda_vq"])
 def test_loss_weights_reject_nan(name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got nan"):
         losses.LossWeights(**{name: float("nan")})
 
 
 @pytest.mark.parametrize("name", ["w_param", "w_geo", "w_dyn", "lambda_vq"])
 def test_loss_weights_reject_inf(name):
     # an infinite weight times a zero term made l_rec NaN on identical motion
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got inf"):
         losses.LossWeights(**{name: float("inf")})
 
 

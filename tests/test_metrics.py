@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from facemotion import metrics
+from facemotion import metrics, synth
 from facemotion.errors import IncompatibleShapeError
-from facemotion.motion_core import BlendshapeModel, MotionSequence
+from facemotion.motion_core import BlendshapeModel, MotionSequence, forward_batch
 
 
 def opening_axis_model():
@@ -57,20 +57,20 @@ def bump_signal(length, peak_frames, width=1):
 
 def test_mod_identical_is_zero(seed0_model, seed0_motion):
     sub = MotionSequence(seed0_motion.params[:20], fps=25.0)
-    assert metrics.mod_metric(seed0_model, sub, sub) == 0.0
+    assert metrics.full_report(seed0_model, sub, sub).mod_mm == 0.0
 
 
 def test_mod_constant_opening_offset_anchor():
     model = opening_axis_model()
     gt = motion_with_channel(np.zeros(10))
     pred = motion_with_channel(np.full(10, 0.002))  # opening grows by 2 mm
-    assert metrics.mod_metric(model, pred, gt) == pytest.approx(2.0, rel=1e-9)
+    assert metrics.full_report(model, pred, gt).mod_mm == pytest.approx(2.0, rel=1e-9)
 
 
 def test_mod_matches_landmark_oracle(seed0_model, seed0_motion, rng):
     gt = MotionSequence(seed0_motion.params[:15], fps=25.0)
     pred = MotionSequence(gt.params + rng.standard_normal(gt.params.shape) * 0.01, fps=25.0)
-    got = metrics.mod_metric(seed0_model, pred, gt)
+    got = metrics.full_report(seed0_model, pred, gt).mod_mm
     o_pred = metrics.opening_series(seed0_model, pred)
     o_gt = metrics.opening_series(seed0_model, gt)
     expected = sum(abs(a - b) for a, b in zip(o_pred, o_gt)) / 15 * 1000.0
@@ -81,16 +81,16 @@ def test_mod_length_mismatch(seed0_model, seed0_motion):
     a = MotionSequence(seed0_motion.params[:5])
     b = MotionSequence(seed0_motion.params[:6])
     with pytest.raises(IncompatibleShapeError):
-        metrics.mod_metric(seed0_model, a, b)
+        metrics.full_report(seed0_model, a, b)
 
 
 def test_mod_invariant_under_shared_global_pose(seed0_model, seed0_motion, rng):
     gt = MotionSequence(seed0_motion.params[:10].copy(), fps=25.0)
     pred = MotionSequence(gt.params + rng.standard_normal(gt.params.shape) * 0.01, fps=25.0)
-    base = metrics.mod_metric(seed0_model, pred, gt)
+    base = metrics.full_report(seed0_model, pred, gt).mod_mm
     gt.params[:, 53:56] = [0.3, -0.2, 0.5]
     pred.params[:, 53:56] = [0.3, -0.2, 0.5]
-    assert metrics.mod_metric(seed0_model, pred, gt) == base
+    assert metrics.full_report(seed0_model, pred, gt).mod_mm == base
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +110,11 @@ def test_ufd_single_vertex_unit_growth_anchor():
 
 
 def test_ufd_matches_displacement_oracle(seed0_model, seed0_motion):
-    from facemotion.motion_core import forward_batch, sequence_vertex_array
-
     m = MotionSequence(seed0_motion.params[:12], fps=25.0)
     got = metrics.ufd(seed0_model, m)
     idx = seed0_model.region("upper_face")
     neutral = forward_batch(seed0_model, np.zeros((1, 58)))[0, idx]
-    verts = sequence_vertex_array(seed0_model, m, zero_posed=True)[:, idx]
+    verts = forward_batch(seed0_model, m.params, zero_posed=True)[:, idx]
     disp = np.sqrt(((verts - neutral) ** 2).sum(axis=2))
     acc = 0.0
     for t in range(1, 12):
@@ -142,18 +140,18 @@ def test_ufd_needs_two_frames(seed0_model):
 
 def test_temporal_corr_identity_and_inversion(rng):
     x = rng.standard_normal(40)
-    assert metrics.temporal_corr(x, x) == pytest.approx(1.0, abs=1e-12)
-    assert metrics.temporal_corr(-x + 7.0, x) == pytest.approx(-1.0, abs=1e-12)
+    assert metrics.pearson(x, x) == pytest.approx(1.0, abs=1e-12)
+    assert metrics.pearson(-x + 7.0, x) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_temporal_corr_zero_variance_is_undefined():
-    assert metrics.temporal_corr(np.full(10, 3.0), np.arange(10.0)) is None
+    assert metrics.pearson(np.full(10, 3.0), np.arange(10.0)) is None
 
 
 def test_temporal_corr_matches_two_pass_oracle(rng):
     x = rng.standard_normal(30)
     y = 0.5 * x + rng.standard_normal(30)
-    assert metrics.temporal_corr(x, y) == pytest.approx(oracles.two_pass_pcc(x, y), rel=1e-12)
+    assert metrics.pearson(x, y) == pytest.approx(oracles.two_pass_pcc(x, y), rel=1e-12)
 
 
 def test_velocity_corr_identity_and_linear(rng):
@@ -176,16 +174,16 @@ def test_velocity_corr_needs_three_samples():
 
 def test_lip_width_corr(rng):
     w = rng.standard_normal(20)
-    assert metrics.lip_width_corr(w, w) == pytest.approx(1.0, abs=1e-12)
-    assert metrics.lip_width_corr(-2.0 * w + 1.0, w) == pytest.approx(-1.0, abs=1e-12)
+    assert metrics.pearson(w, w) == pytest.approx(1.0, abs=1e-12)
+    assert metrics.pearson(-2.0 * w + 1.0, w) == pytest.approx(-1.0, abs=1e-12)
     other = rng.standard_normal(20)
-    assert metrics.lip_width_corr(other, w) == pytest.approx(oracles.two_pass_pcc(other, w), rel=1e-12)
+    assert metrics.pearson(other, w) == pytest.approx(oracles.two_pass_pcc(other, w), rel=1e-12)
 
 
 def test_correlations_stay_in_unit_interval(rng):
     for _ in range(20):
         x, y = rng.standard_normal((2, 15))
-        v = metrics.temporal_corr(x, y)
+        v = metrics.pearson(x, y)
         assert -1.0 <= v <= 1.0
 
 
@@ -218,29 +216,29 @@ def test_liveliness_constant_reference_is_large_but_finite(rng):
 
 
 def test_peak_align_anchor_100ms():
-    cfg = metrics.MetricsConfig(fps=25.0)
+    cfg = metrics.MetricsConfig()
     gt = bump_signal(64, [10, 50])
     pred = bump_signal(64, [13, 52])
-    assert metrics.peak_align(pred, gt, cfg) == 100.0
+    assert metrics.peak_align(pred, gt, cfg, 25.0) == 100.0
 
 
 def test_peak_align_identical_is_zero(seed0_model, seed0_motion):
     cfg = metrics.MetricsConfig()
     o = metrics.opening_series(seed0_model, seed0_motion)
-    assert metrics.peak_align(o, o, cfg) == 0.0
+    assert metrics.peak_align(o, o, cfg, seed0_motion.fps) == 0.0
 
 
 def test_peak_align_no_peaks_is_undefined():
     cfg = metrics.MetricsConfig()
-    assert metrics.peak_align(np.zeros(30), bump_signal(30, [10]), cfg) is None
+    assert metrics.peak_align(np.zeros(30), bump_signal(30, [10]), cfg, 25.0) is None
 
 
 def test_peak_align_two_tone_matches_scan_oracle():
-    cfg = metrics.MetricsConfig(fps=25.0)
+    cfg = metrics.MetricsConfig()
     t = np.arange(200) / 25.0
     gt = np.sin(2 * np.pi * 2.0 * t)
     pred = np.sin(2 * np.pi * 2.0 * (t - 0.06))
-    got = metrics.peak_align(pred, gt, cfg)
+    got = metrics.peak_align(pred, gt, cfg, 25.0)
     p_gt = oracles.local_maxima(gt)
     p_pred = oracles.local_maxima(pred)
     diffs = [min(abs(g - p) for p in p_pred) for g in p_gt]
@@ -248,10 +246,10 @@ def test_peak_align_two_tone_matches_scan_oracle():
 
 
 def test_peak_align_symmetric_for_one_to_one_matching():
-    cfg = metrics.MetricsConfig(fps=25.0)
+    cfg = metrics.MetricsConfig()
     a = bump_signal(64, [10, 30])
     b = bump_signal(64, [12, 33])
-    assert metrics.peak_align(a, b, cfg) == metrics.peak_align(b, a, cfg)
+    assert metrics.peak_align(a, b, cfg, 25.0) == metrics.peak_align(b, a, cfg, 25.0)
 
 
 def test_detect_peaks_prominence_filtering():
@@ -310,18 +308,23 @@ def test_full_report_composes_per_metric_values(seed0_model, seed0_motion, rng):
     o_gt = metrics.opening_series(seed0_model, gt)
     w_pred = metrics.width_series(seed0_model, pred)
     w_gt = metrics.width_series(seed0_model, gt)
-    assert report.mod_mm == metrics.mod_metric(seed0_model, pred, gt)
+    assert report.mod_mm == float(np.mean(np.abs(o_pred - o_gt)) * 1000.0)
     assert report.ufd == metrics.ufd(seed0_model, pred)
-    assert report.temporal_corr == metrics.temporal_corr(o_pred, o_gt)
+    assert report.temporal_corr == metrics.pearson(o_pred, o_gt)
     assert report.velocity_corr == metrics.velocity_corr(o_pred, o_gt)
-    assert report.lip_width_corr == metrics.lip_width_corr(w_pred, w_gt)
+    assert report.lip_width_corr == metrics.pearson(w_pred, w_gt)
     assert report.liveliness_ratio == metrics.liveliness(o_pred, o_gt, cfg.epsilon)
-    assert report.peak_align_ms == metrics.peak_align(o_pred, o_gt, cfg)
+    assert report.peak_align_ms == metrics.peak_align(o_pred, o_gt, cfg, gt.fps)
+
+
+def test_full_report_times_peaks_at_the_clip_fps(seed0_model):
+    # a 3-frame lag at 30 fps is 100 ms; the config holds no frame rate of its own
+    gt = synth.make_motion(synth.SynthConfig(seed=0, duration_frames=300, fps=30.0))
+    pred = MotionSequence(np.roll(gt.params, 3, axis=0), fps=30.0)
+    assert metrics.full_report(seed0_model, pred, gt, metrics.MetricsConfig()).peak_align_ms == 100.0
 
 
 def test_metrics_config_validation():
-    with pytest.raises(ValueError):
-        metrics.MetricsConfig(fps=0)
     with pytest.raises(ValueError):
         metrics.MetricsConfig(peak_min_prominence=1.5)
     with pytest.raises(ValueError):
@@ -331,7 +334,6 @@ def test_metrics_config_validation():
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"fps": float("inf")}, "fps"),  # made peak_align_ms 0.0
         ({"epsilon": float("inf")}, "epsilon"),  # made liveliness_ratio 0.0
         ({"peak_min_distance": 2.5}, "peak_min_distance"),  # a TypeError in detect_peaks
         ({"peak_min_distance": True}, "peak_min_distance"),

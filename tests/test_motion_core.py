@@ -239,12 +239,6 @@ def test_sequence_vertices_zero_motion_is_template(seed0_model):
         np.testing.assert_array_equal(v, seed0_model.template)
 
 
-def test_sequence_vertices_flag_matches_composition(seed0_model, rng):
-    params = random_params(rng)
-    flagged = mc.sequence_vertex_array(seed0_model, mc.MotionSequence(params), zero_posed=True)
-    np.testing.assert_array_equal(flagged, mc.forward_batch(seed0_model, zero_global(params)))
-
-
 def test_sequence_vertices_matches_frame_by_frame_oracle(seed0_model, seed0_motion):
     sub = mc.MotionSequence(seed0_motion.params[:10], fps=seed0_motion.fps)
     got = mc.sequence_vertex_array(seed0_model, sub)

@@ -13,7 +13,8 @@ def small_cfg(**kw):
     return rvq.QuantizerConfig(**defaults)
 
 
-@pytest.mark.parametrize("value, message", [(float("nan"), "must be >= 0"), (float("inf"), "must be finite")])
+@pytest.mark.parametrize("value, message", [(float("nan"), "must be finite and >= 0, got nan"),
+                                            (float("inf"), "must be finite")])
 def test_quantizer_config_rejects_non_finite_dead_code_threshold(value, message):
     # gamma's NaN and infinity are checked through a forged .a2cb in test_fileio
     with pytest.raises(ValueError, match="dead_code_threshold " + message):

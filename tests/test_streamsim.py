@@ -305,7 +305,7 @@ def test_latency_missing_events_raise():
 @pytest.mark.parametrize("field", ["text_token_ms", "audio_token_ms", "segment_ms"])
 @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
 def test_timing_model_rejects_delays_that_are_negative_or_not_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be a finite delay >= 0"):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
         streamsim.TimingModel(**{field: value})
     assert streamsim.TimingModel(0.0, 0.0, 0.0).segment_ms == 0.0
 
@@ -383,6 +383,18 @@ def test_hierarchical_ce_rejects_unnormalized(rng):
     dists = np.full((2, 1, 3), 0.5)
     with pytest.raises(ValueError):
         streamsim.hierarchical_ce(dists, targets)
+
+
+@pytest.mark.parametrize("dists, target", [
+    ([[[math.nan, 0.5]]], 0),  # returned nan
+    ([[[-0.5, 1.5]]], 0),  # returned nan with a RuntimeWarning
+    ([[[1.5, -0.5]]], 0),  # returned a cross-entropy of -0.405
+    ([[[math.inf, -math.inf]]], 0),  # the row sums to nan, which passed the sum check
+])
+def test_hierarchical_ce_rejects_values_that_are_not_probabilities(dists, target):
+    targets = rvq.TokenSequence(np.array([[target]]), group_size=5, num_levels=1, codebook_size=2)
+    with pytest.raises(ValueError, match="pred_dists must hold finite probabilities >= 0"):
+        streamsim.hierarchical_ce(np.array(dists), targets)
 
 
 def test_hierarchical_ce_zero_probability_is_inf():

@@ -96,8 +96,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         synth.SynthConfig(fps=0)
     for noise_std in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="noise_std"):
+        with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
             synth.SynthConfig(noise_std=noise_std)
+
+
+@pytest.mark.parametrize("t", [3, 5, 16, 100])
+@pytest.mark.parametrize("window", [3, 15, 31, 201])  # 31 and 201 are longer than some clips
+def test_smooth_matches_the_same_mode_formula(rng, t, window):
+    x = rng.standard_normal((t, 4))
+    np.testing.assert_array_equal(synth._smooth(x, window), oracles.smooth_same_mode(x, window))
 
 
 @pytest.mark.parametrize("field, value", [
