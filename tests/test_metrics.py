@@ -338,6 +338,8 @@ def test_metrics_config_validation():
         ({"peak_min_distance": 2.5}, "peak_min_distance"),  # a TypeError in detect_peaks
         ({"peak_min_distance": True}, "peak_min_distance"),
     ],
+    # fixed ids keep each case's name from before the fps case (kwargs0) was dropped with the field
+    ids=["kwargs1-epsilon", "kwargs2-peak_min_distance", "kwargs3-peak_min_distance"],
 )
 def test_metrics_config_rejects_values_that_used_to_pass(kwargs, name):
     with pytest.raises(ValueError, match=name):

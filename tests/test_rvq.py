@@ -13,11 +13,11 @@ def small_cfg(**kw):
     return rvq.QuantizerConfig(**defaults)
 
 
-@pytest.mark.parametrize("value, message", [(float("nan"), "must be finite and >= 0, got nan"),
-                                            (float("inf"), "must be finite")])
-def test_quantizer_config_rejects_non_finite_dead_code_threshold(value, message):
+# each id names the clause of the shared rule that the value breaks
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan-must be >= 0", "inf-must be finite"])
+def test_quantizer_config_rejects_non_finite_dead_code_threshold(value):
     # gamma's NaN and infinity are checked through a forged .a2cb in test_fileio
-    with pytest.raises(ValueError, match="dead_code_threshold " + message):
+    with pytest.raises(ValueError, match=f"dead_code_threshold must be finite and >= 0, got {value}"):
         small_cfg(dead_code_threshold=value)
 
 
