@@ -144,10 +144,6 @@ class MotionSequence:
     def __len__(self) -> int:
         return self.params.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.fps
-
 
 def check_pair(m: MotionSequence, m_hat: MotionSequence, min_len: int = 1) -> None:
     """Reject a pair of sequences whose lengths or fps differ, or that is shorter than ``min_len`` frames."""

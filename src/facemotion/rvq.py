@@ -8,8 +8,12 @@ codes left below the dead-code count to distinct points and keeping the
 best iterate; the encode/decode maps are fit by PCA over the flattened
 windows. Encoding and training pick codewords with one routine,
 ``_nearest_indices``: exact squared distances from explicit differences,
-lowest index on ties. The quantizer commitment objective is computed as a
-diagnostic only.
+lowest index on ties. Lloyd keeps its score matrix across steps and
+rescores only the codewords a step moved, and scans again only candidate
+pairs that are new or whose codeword moved: the score filter's tolerance
+holds for a dot product summed in any order, kept or fresh, and the scan
+decides by explicit differences, so the picks equal a full rescore's. The
+quantizer commitment objective is computed as a diagnostic only.
 """
 
 from __future__ import annotations
@@ -211,41 +215,119 @@ def window_decode(
     return MotionSequence(frames, fps=z.fps_latent * cfg.group_size)
 
 
-def _nearest_indices(points: np.ndarray, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+# Values per transient block of the nearest-codeword search and the cluster sums.
+_BLOCK_VALUES = 1 << 15
+
+
+def _score_rows(
+    points: np.ndarray, codewords: np.ndarray, c2: np.ndarray, scores: np.ndarray, moved: np.ndarray = None
+) -> None:
+    """Write s_k = c2_k - 2 r.c_k into every row of the (K, n) scores, or
+    only into the rows moved lists, a block of points at a time."""
+    if moved is None:
+        np.matmul(codewords, points.T, out=scores)
+        scores *= -2.0
+        scores += c2[:, None]
+        return
+    if not moved.size:
+        return
+    n = points.shape[0]
+    cw, cm = codewords[moved], c2[moved, None]
+    step = max(1, _BLOCK_VALUES // moved.size)
+    buf = np.empty((moved.size, min(step, n)))
+    for lo in range(0, n, step):
+        part = buf[:, : min(step, n - lo)]
+        np.matmul(cw, points[lo : lo + step].T, out=part)
+        part *= -2.0
+        part += cm
+        scores[moved, lo : lo + step] = part
+
+
+class _HeldScores:
+    """What _nearest_indices keeps between calls on the same points: the
+    (K, n) scores, one row per codeword; each point's |r|^2; and the last
+    call's candidate pairs, as ascending flat indices k n + i into the
+    scores, with their explicit squared distances."""
+
+    def __init__(self, k: int, points: np.ndarray):
+        self.scores = np.empty((k, points.shape[0]))
+        self.r2 = np.einsum("nd,nd->n", points, points)
+        self.pairs = np.empty(0, dtype=np.int64)
+        self.dist = np.empty(0)
+
+
+def _stale_pairs(held: _HeldScores, pairs: np.ndarray, moved: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Indices of the candidate pairs whose distance must be scanned (None
+    for all of them); the others, candidates in held's last call whose
+    codeword did not move, take their distance from held into dist. Its
+    own function so that its pair-sized temporaries are freed before the
+    scan."""
+    if moved is None or not held.pairs.size:
+        return None
+    k, n = held.scores.shape
+    at = np.minimum(np.searchsorted(held.pairs, pairs), held.pairs.size - 1)
+    moved_code = np.zeros(k, dtype=bool)
+    moved_code[moved] = True
+    stale = (held.pairs[at] != pairs) | moved_code[pairs // n]
+    kept = ~stale
+    dist[kept] = held.dist[at[kept]]
+    return np.flatnonzero(stale)
+
+
+def _nearest_indices(
+    points: np.ndarray, codewords: np.ndarray, held: _HeldScores = None, moved: np.ndarray = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest codeword per point and its squared distance; ties go to the lowest index.
 
     Equal, bit for bit, to a scan of explicit differences einsum(r - c, r - c).
-    One GEMM scores each codeword as s_k = |c_k|^2 - 2 r.c_k. With unit
+    A GEMM scores each codeword as s_k = |c_k|^2 - 2 r.c_k. With unit
     roundoff u, g_m = mu/(1 - mu) and M = max |c_k|^2, a computed score is
     within E1 = 2 g_{d+1} (|r|^2 + M) of s_k and a scanned distance within
     E2 = 2 g_{d+3} (|r|^2 + M) of the true one, so the scan's winner scores
-    within 2 (E1 + E2) of its row's minimum. tol = (4d + 16)(u (|r|^2 + M) + eta)
+    within 2 (E1 + E2) of the point's lowest score. tol = (4d + 16)(u (|r|^2 + M) + eta)
     exceeds E1 + E2 with room for its own rounding; eta, the smallest
-    subnormal, covers underflow. Only codewords within 2 tol of the row
-    minimum are scanned, in blocks of 2^15 values: one per row as a rule,
-    more where distances (nearly) tie.
+    subnormal, covers underflow. Only codewords within 2 tol of the lowest
+    score are scanned, in blocks of _BLOCK_VALUES values: one per point as a
+    rule, more where distances (nearly) tie.
+
+    held, if given, is the caller's _HeldScores for these points. Its
+    scores are rewritten in place, or, given moved (the codewords whose
+    values changed since the last call with it), only in those rows; the
+    other rows hold scores of codewords of the same value. E1 bounds a dot
+    product summed in any order, so a score from a narrower GEMM, or one
+    kept from an earlier call, is within it too, and whatever extra
+    candidates pass the filter, the scan returns the exact-difference
+    winner. A pair that was a candidate in the last call and whose codeword
+    did not move keeps its distance: the same explicit difference of the
+    same values.
     """
     n, d = points.shape
     k = codewords.shape[0]
     u = np.finfo(np.float64).eps / 2
     eta = np.finfo(np.float64).smallest_subnormal
-    scores = points @ codewords.T
-    scores *= -2.0
     c2 = np.einsum("kd,kd->k", codewords, codewords)
-    scores += c2
-    r2 = np.einsum("nd,nd->n", points, points)
-    margin = 2.0 * (4 * d + 16) * (u * (r2 + c2.max()) + eta)
-    rows, cols = np.divmod(np.flatnonzero(scores <= (scores.min(axis=1) + margin)[:, None]), k)
-    dist = np.empty(rows.size)
-    step = max(1, (1 << 15) // max(1, d))
-    for lo in range(0, rows.size, step):
-        diff = codewords[cols[lo : lo + step]]
-        np.subtract(points[rows[lo : lo + step]], diff, out=diff)
-        dist[lo : lo + step] = np.einsum("pd,pd->p", diff, diff)
-    # rows come out ascending and each row has a candidate, so row i's run
-    # starts where i first appears; within it, lowest distance, then index
-    first = np.lexsort((cols, dist, rows))[np.searchsorted(rows, np.arange(n))]
-    return cols[first], dist[first]
+    if held is None:
+        held = _HeldScores(k, points)
+    _score_rows(points, codewords, c2, held.scores, moved)
+    margin = 2.0 * (4 * d + 16) * (u * (held.r2 + c2.max()) + eta)
+    pairs = np.flatnonzero(held.scores <= held.scores.min(axis=0) + margin)
+    dist = np.empty(pairs.size)
+    todo = _stale_pairs(held, pairs, moved, dist)
+    held.pairs, held.dist = pairs, dist
+    step = max(1, _BLOCK_VALUES // max(1, d))
+    for lo in range(0, pairs.size if todo is None else todo.size, step):
+        sel = slice(lo, lo + step) if todo is None else todo[lo : lo + step]
+        code, point = np.divmod(pairs[sel], n)
+        diff = codewords[code]
+        np.subtract(points[point], diff, out=diff)
+        dist[sel] = np.einsum("pd,pd->p", diff, diff)
+    # pairs ascend by codeword and every point has one, so a stable sort by
+    # point, then distance, starts each point's run with its lowest
+    # distance, lowest index on ties
+    point = pairs % n
+    order = np.lexsort((dist, point))
+    first = order[np.searchsorted(point[order], np.arange(n))]
+    return pairs[first] // n, dist[first]
 
 
 def rvq_encode(
@@ -404,10 +486,21 @@ def _greedy_kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def _cluster_sums(points: np.ndarray, idx: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster sums and counts; each sum adds its points one by one in point order."""
-    d = points.shape[1]
-    bins = (idx * d)[:, None] + np.arange(d)
-    sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+    """Per-cluster sums and counts; each sum adds its points one by one in point order.
+
+    The sums are binned a block of latent dimensions at a time, so the bin
+    array holds about _BLOCK_VALUES values whatever the batch size.
+    """
+    n, d = points.shape
+    sums = np.empty((k, d))
+    w = min(d, max(1, _BLOCK_VALUES // max(1, n)))
+    bins = ((idx * w)[:, None] + np.arange(w)).ravel()
+    for lo in range(0, d, w):
+        block = points[:, lo : lo + w]
+        if block.shape[1] < w:
+            w = block.shape[1]
+            bins = ((idx * w)[:, None] + np.arange(w)).ravel()
+        sums[:, lo : lo + w] = np.bincount(bins, weights=block.ravel(), minlength=k * w).reshape(k, w)
     return sums, np.bincount(idx, minlength=k).astype(np.float64)
 
 
@@ -424,6 +517,36 @@ def lloyd_stop(history: Sequence[float]) -> str:
     return "converged" if len(history) > 1 and not _improved(history[-2], history[-1]) else "cap"
 
 
+def _farthest_distinct(points: np.ndarray, dist: np.ndarray, count: int) -> np.ndarray:
+    """Up to count points farthest from their nearest center, farthest first
+    (lowest index on ties), skipping points a center covers exactly and
+    copies of a point already taken."""
+    taken, src = set(), []
+    for i in np.argsort(-dist, kind="stable"):
+        if len(src) == count or dist[i] <= 0.0:
+            break
+        key = tuple(points[i].tolist())  # equal values are one point: 0.0 and -0.0 too
+        if key not in taken:
+            taken.add(key)
+            src.append(i)
+    return np.array(src, dtype=np.int64)
+
+
+def _updated_centers(
+    points: np.ndarray, centers: np.ndarray, idx: np.ndarray, dist: np.ndarray, dead_code_threshold: float
+) -> np.ndarray:
+    """One Lloyd update of a copy of centers (see _lloyd); a function of its
+    own so that the step's sums are freed before the caller rescores."""
+    sums, counts = _cluster_sums(points, idx, centers.shape[0])
+    new = centers.copy()
+    np.divide(sums, counts[:, None], out=new, where=counts[:, None] > 0)
+    dead = np.flatnonzero(counts < dead_code_threshold)
+    if dead.size:
+        src = _farthest_distinct(points, dist, dead.size)
+        new[dead[: src.size]] = points[src]
+    return new
+
+
 def _lloyd(
     points: np.ndarray, centers: np.ndarray, dead_code_threshold: float
 ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
@@ -438,23 +561,24 @@ def _lloyd(
     so the best iterate is the last or the one before it (the earlier on a
     tie). Returns its centers and assignment and the distortion of every
     iterate.
+
+    The (K, n) score matrix is kept across steps in a _HeldScores, and
+    after each update only the codewords whose values changed (moved means
+    and re-seeded codes) are rescored; after the first steps few do. Only
+    candidate pairs that are new or whose codeword moved are scanned again.
+    The selection reads kept and fresh scores alike through
+    _nearest_indices' tolerance and decides by explicit differences, so
+    every assignment is the one a full rescore gives.
     """
-    idx, dist = _nearest_indices(points, centers)
+    held = _HeldScores(centers.shape[0], points)
+    idx, dist = _nearest_indices(points, centers, held)
     history = [float(dist.mean())]
     best = (centers, idx)
     for _ in range(_LLOYD_CAP):
-        sums, counts = _cluster_sums(points, idx, centers.shape[0])
-        centers = centers.copy()
-        live = counts > 0
-        centers[live] = sums[live] / counts[live, None]
-        dead = np.flatnonzero(counts < dead_code_threshold)
-        if dead.size:
-            order = np.argsort(-dist, kind="stable")
-            order = order[dist[order] > 0.0]
-            _, first = np.unique(points[order], axis=0, return_index=True)
-            src = order[np.sort(first)[: dead.size]]
-            centers[dead[: src.size]] = points[src]
-        idx, dist = _nearest_indices(points, centers)
+        new = _updated_centers(points, centers, idx, dist, dead_code_threshold)
+        moved = np.flatnonzero(np.any(new != centers, axis=1))
+        centers = new
+        idx, dist = _nearest_indices(points, centers, held, moved)
         history.append(float(dist.mean()))
         if history[-1] < history[-2]:
             best = (centers, idx)

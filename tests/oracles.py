@@ -146,6 +146,70 @@ def lloyd_best_of(points: np.ndarray, k: int, restarts: int, seed: int, iters: i
     return best
 
 
+def nearest_difference_scan(points: np.ndarray, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nearest codeword per point by explicit differences over every codeword,
+    a few points at a time (lowest index on ties); returns indices and
+    squared distances."""
+    n = points.shape[0]
+    idx = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    for lo in range(0, n, 16):
+        diff = points[lo : lo + 16, None, :] - codewords[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        idx[lo : lo + 16] = np.argmin(d2, axis=1)
+        dist[lo : lo + 16] = d2[np.arange(d2.shape[0]), idx[lo : lo + 16]]
+    return idx, dist
+
+
+def lloyd_full_rescore(
+    points: np.ndarray,
+    centers: np.ndarray,
+    dead_code_threshold: float,
+    cap: int = 12,
+    rel_tol: float = 1e-6,
+    nearest=nearest_difference_scan,
+) -> Tuple[np.ndarray, np.ndarray, List[float]]:
+    """Full-batch Lloyd that scores every point against every codeword at
+    every step, through `nearest` (points, codewords) -> (indices, squared
+    distances). Each step moves a code to the mean of its points, summed one
+    point at a time in point order; codes with fewer points than
+    dead_code_threshold are re-seeded, in code order, to the distinct points
+    farthest from their nearest center (found with np.unique), skipping
+    points a center covers exactly. Stops at the first step that does not
+    improve the mean distortion by rel_tol, or after cap steps. Returns the
+    best iterate's centers and assignment (the earlier on a tie) and the
+    distortion of every iterate."""
+    points = np.asarray(points, dtype=np.float64)
+    idx, dist = nearest(points, centers)
+    history = [float(dist.mean())]
+    best = (centers, idx)
+    for _ in range(cap):
+        k = centers.shape[0]
+        sums = np.zeros((k, points.shape[1]))
+        counts = np.zeros(k)
+        for i, c in enumerate(idx):
+            sums[c] += points[i]
+            counts[c] += 1.0
+        centers = centers.copy()
+        for c in range(k):
+            if counts[c] > 0:
+                centers[c] = sums[c] / counts[c]
+        dead = np.flatnonzero(counts < dead_code_threshold)
+        if dead.size:
+            order = np.argsort(-dist, kind="stable")
+            order = order[dist[order] > 0.0]
+            _, first = np.unique(points[order], axis=0, return_index=True)
+            src = order[np.sort(first)[: dead.size]]
+            centers[dead[: src.size]] = points[src]
+        idx, dist = nearest(points, centers)
+        history.append(float(dist.mean()))
+        if history[-1] < history[-2]:
+            best = (centers, idx)
+        if history[-2] - history[-1] < rel_tol * max(history[-2], 1e-30):
+            break
+    return best[0], best[1], history
+
+
 def pca_directions(data: np.ndarray, n_components: int) -> Tuple[np.ndarray, np.ndarray]:
     """Top principal directions via eigendecomposition of the covariance."""
     data = np.asarray(data, dtype=np.float64)

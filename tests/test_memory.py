@@ -1,14 +1,17 @@
-"""Transient memory of the vertex pipelines on a long clip, in units of one
-(T, N, 3) float64 vertex array, counted with tracemalloc (numpy reports its
-buffers to it). Each bound is the measured peak plus some headroom; the
-frame-blocked forward model and the streamed loss buffers are what keep the
-peaks this low, and the code before them used about 3, 7 and 2.4 arrays."""
+"""Transient memory, counted with tracemalloc (numpy reports its buffers to
+it). Each bound is the measured peak plus some headroom.
+
+The vertex pipelines run on a long clip and count in units of one (T, N, 3)
+float64 vertex array; the frame-blocked forward model and the streamed loss
+buffers are what keep their peaks this low, and the code before them used
+about 3, 7 and 2.4 arrays. Codebook training counts in units of one (n, K)
+float64 score array, n being the number of training windows."""
 
 import tracemalloc
 
 import pytest
 
-from facemotion import losses, metrics, synth
+from facemotion import losses, metrics, rvq, synth
 from facemotion import motion_core as mc
 
 FRAMES, VERTICES = 2000, 200
@@ -21,7 +24,7 @@ def long_pair():
     return synth.make_model(cfg), synth.make_motion(cfg), synth.make_motion(other)
 
 
-def _peak_in_vertex_arrays(fn):
+def _peak_bytes(fn):
     fn()  # untraced: a first call imports lazily (np.median imports numpy.ma)
     tracemalloc.start()
     try:
@@ -30,7 +33,7 @@ def _peak_in_vertex_arrays(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (FRAMES * VERTICES * 3 * 8)
+    return peak - base
 
 
 @pytest.mark.parametrize(
@@ -46,4 +49,20 @@ def test_transient_peak_in_vertex_arrays(long_pair, name, bound):
         "full_report": lambda: metrics.full_report(model, m, m_hat),
         "forward_batch": lambda: mc.forward_batch(model, m.params),
     }[name]
-    assert _peak_in_vertex_arrays(call) <= bound
+    assert _peak_bytes(call) / (FRAMES * VERTICES * 3 * 8) <= bound
+
+
+@pytest.mark.parametrize("frames, bound", [(1000, 5.3), (2000, 3.5)])
+def test_train_codebooks_peak_in_score_arrays(frames, bound):
+    # default-config fits on every shift of one clip: n = frames windows.
+    # Lloyd holds its (K, n) score matrix across steps; rescoring the moved
+    # codewords and the cluster sums work in blocks, which keeps the peak at
+    # or below the one measured when every step allocated its scores
+    # afresh: 5.21 and 3.45 arrays (10.67 and 14.13 MB).
+    motion = synth.make_motion(synth.SynthConfig(seed=1, duration_frames=frames))
+    cfg = rvq.QuantizerConfig()
+    proj = rvq.fit_projections([motion], cfg)
+    latents = rvq.shifted_windows([motion], cfg) @ proj.encode_w.T + proj.encode_b
+    assert latents.shape[0] == frames
+    peak = _peak_bytes(lambda: rvq.train_codebooks(latents, cfg))
+    assert peak / (frames * cfg.codebook_size * 8) <= bound

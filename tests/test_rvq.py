@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,25 @@ def test_train_levels_with_enough_distinct_points_have_distinct_codewords():
         idx, _ = rvq._nearest_indices(residual, cb.entries[j])
         np.testing.assert_array_equal(cb.usage[j], np.bincount(idx, minlength=cfg.codebook_size))
         residual -= cb.entries[j][idx]
+
+
+def test_train_matches_lloyd_that_rescores_every_step(monkeypatch):
+    # all 6 levels of a default fit: Lloyd keeps its scores and rescores only
+    # the codewords a step moved, and must give the bytes of a Lloyd that
+    # rescores every codeword at every step. The oracle scores through the
+    # library's full-rescore search here (its explicit-difference scan would
+    # take ~10 s at n = 1000, K = d = 256); the property tests run it with
+    # the scan on small inputs.
+    latents, cfg = _codec_latents()
+    cb, histories = rvq.train_codebooks(latents, cfg, return_history=True)
+    full = functools.partial(oracles.lloyd_full_rescore, cap=rvq._LLOYD_CAP, rel_tol=rvq._REL_TOL,
+                             nearest=rvq._nearest_indices)
+    monkeypatch.setattr(rvq, "_lloyd", full)
+    expected, expected_histories = rvq.train_codebooks(latents, cfg, return_history=True)
+    assert cb.entries.tobytes() == expected.entries.tobytes()
+    assert cb.usage.tobytes() == expected.usage.tobytes()
+    assert histories == expected_histories
+    assert len(histories) == cfg.num_levels and max(len(h) for h in histories) > 3
 
 
 @pytest.mark.parametrize("seed", range(5))
