@@ -34,7 +34,7 @@ from .rvq import (
     window_encode,
 )
 from .losses import LossReport, LossWeights, total_losses
-from .metrics import MetricsConfig, MetricsReport, full_report, liveliness, peak_align, ufd, velocity_corr
+from .metrics import MetricsConfig, MetricsReport, full_report, liveliness, peak_align, velocity_corr
 from .streamsim import (
     AudioFeatureSequence,
     LatencyReport,

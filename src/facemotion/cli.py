@@ -281,6 +281,8 @@ def cmd_encode(args, config) -> Outcome:
 
 
 def cmd_decode(args, config) -> Outcome:
+    if args.frames is not None and args.frames < 1:
+        raise UsageError(f"{_flag('frames')} must be >= 1, got {args.frames}")
     cb, proj, qcfg = fileio.load_codebook(args.codebook)
     tokens = fileio.load_tokens(args.tokens, group_size=qcfg.group_size)
     frames = args.frames if args.frames is not None else len(tokens) * qcfg.group_size
@@ -355,15 +357,15 @@ def cmd_compare(args, config) -> Outcome:
     model = fileio.load_model(args.model)
     reference = _load_motion_any(args.reference)
     mcfg = metrics.MetricsConfig(**_settings(args, config, "metrics"))
-    ref_ufd = metrics.ufd(model, reference)
-
-    names, reports = [], []
+    names = []
     for i, path in enumerate(args.candidate):
         name = Path(path).stem
         while name in names or name == "comparison":  # "comparison" names the manifest's comparison.json
             name = f"{name}_{i}"
         names.append(name)
-        reports.append(metrics.full_report(model, _load_motion_any(path), reference, mcfg))
+    # a generator, so each candidate file is loaded (and refused) at its turn
+    candidates = (_load_motion_any(path) for path in args.candidate)
+    ref_ufd, reports = metrics.compare(model, reference, candidates, mcfg)
 
     rankings = {}
     targets = dict(_METRIC_TARGETS, ufd=ref_ufd)

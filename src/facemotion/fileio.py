@@ -391,13 +391,6 @@ def save_latency_report(path: _PathLike, report: streamsim.LatencyReport) -> Non
     write_json(path, {"report": "latency", **report.to_dict()})
 
 
-def load_report(path: _PathLike) -> dict:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "report" not in doc and "manifest" not in doc:
-        raise FormatError(f"{path}: not a report document")
-    return doc
-
-
 def save_manifest(
     path: _PathLike,
     command: str,

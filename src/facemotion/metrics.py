@@ -10,13 +10,12 @@ NaN or fake zeros.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import IncompatibleShapeError, ModelConfigError
 from .motion_core import (
-    FRAME_DIM,
     LANDMARK_NAMES,
     BlendshapeModel,
     MotionSequence,
@@ -66,44 +65,25 @@ class MetricsReport:
         return {"values": values, "undefined": undefined, "config": self.config.to_dict()}
 
 
-def _landmark_series(model: BlendshapeModel, m: MotionSequence, a: str, b: str) -> np.ndarray:
-    v = forward_batch(model, m.params, zero_posed=True, vertices=[model.landmark(a), model.landmark(b)])
-    return landmark_distance(v, 0, 1)
-
-
-def opening_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
-    """Mouth-opening distance per frame, zero-pose space."""
-    return _landmark_series(model, m, "upper_lip", "lower_lip")
-
-
-def width_series(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:
-    """Mouth-width distance per frame, zero-pose space."""
-    return _landmark_series(model, m, "left_corner", "right_corner")
-
-
-def _upper_face(model: BlendshapeModel) -> np.ndarray:
-    idx = model.region("upper_face")
-    if idx.size == 0:
+def _scored_vertices(model: BlendshapeModel) -> np.ndarray:
+    """The mouth landmarks in LANDMARK_NAMES order, then the upper_face region."""
+    landmarks = [model.landmark(name) for name in LANDMARK_NAMES]
+    upper = model.region("upper_face")
+    if upper.size == 0:
         raise ModelConfigError("upper_face region is empty")
-    return idx
+    return np.concatenate([landmarks, upper])
 
 
-def _ufd(model: BlendshapeModel, upper: np.ndarray, idx: np.ndarray) -> float:
-    """UFD from zero-posed (T, len(idx), 3) vertices of the upper_face region."""
-    neutral = forward_batch(model, np.zeros((1, FRAME_DIM)), vertices=idx)[0]
-    # the difference is a fresh C-contiguous array, so the reductions below
-    # run in the same order whether or not ``upper`` is a view
-    disp = np.linalg.norm(upper - neutral, axis=-1)
-    return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
-
-
-def ufd(model: BlendshapeModel, m: MotionSequence) -> float:
+def _ufd(model: BlendshapeModel, v: np.ndarray, idx: np.ndarray) -> float:
     """Upper-face dynamics: mean frame-to-frame change of the per-vertex
-    displacement norm relative to the neutral face, scaled by 1e5."""
-    if len(m) < 2:
-        raise ValueError("ufd needs at least 2 frames")
-    idx = _upper_face(model)
-    return _ufd(model, forward_batch(model, m.params, zero_posed=True, vertices=idx), idx)
+    displacement norm from the neutral face, scaled by 1e5, from a zero-posed
+    render ``v`` of ``idx = _scored_vertices(model)``."""
+    n = len(LANDMARK_NAMES)
+    # the difference is a fresh C-contiguous array, so the reductions below
+    # run in the same order whatever ``v``'s layout; zero parameters render
+    # to the template up to the sign of a zero, which the norm squares away
+    disp = np.linalg.norm(v[:, n:] - model.template[idx[n:]], axis=-1)
+    return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -212,6 +192,33 @@ def peak_align(o_pred: np.ndarray, o_gt: np.ndarray, cfg: MetricsConfig, fps: fl
     return float(np.median(diffs) * 1000.0 / fps)
 
 
+def _report(
+    model: BlendshapeModel, idx: np.ndarray, v_pred: np.ndarray, v_gt: np.ndarray, fps: float, cfg: MetricsConfig
+) -> MetricsReport:
+    """The seven metrics from zero-posed renders of ``idx`` (see ``_scored_vertices``):
+    all of it for the prediction, at least the landmarks for the reference."""
+    o_pred, w_pred = landmark_distance(v_pred, 0, 1), landmark_distance(v_pred, 2, 3)
+    o_gt, w_gt = landmark_distance(v_gt, 0, 1), landmark_distance(v_gt, 2, 3)
+
+    t_corr, v_corr, w_corr = pearson(o_pred, o_gt), velocity_corr(o_pred, o_gt), pearson(w_pred, w_gt)
+    align = peak_align(o_pred, o_gt, cfg, fps)
+    flags = (("temporal_corr", t_corr, "zero variance"), ("velocity_corr", v_corr, "zero variance"),
+             ("lip_width_corr", w_corr, "zero variance"), ("peak_align_ms", align, "no peaks detected"))
+    undefined = {name: reason for name, value, reason in flags if value is None}
+
+    return MetricsReport(
+        mod_mm=float(np.mean(np.abs(o_pred - o_gt)) * 1000.0),
+        ufd=_ufd(model, v_pred, idx),
+        temporal_corr=t_corr,
+        velocity_corr=v_corr,
+        lip_width_corr=w_corr,
+        liveliness_ratio=liveliness(o_pred, o_gt, cfg.epsilon),
+        peak_align_ms=align,
+        undefined=undefined,
+        config=cfg,
+    )
+
+
 def full_report(
     model: BlendshapeModel,
     pred: MotionSequence,
@@ -224,35 +231,28 @@ def full_report(
     check_pair(pred, gt, min_len=3)
     # one zero-posed render per sequence: the mouth landmarks, plus the
     # upper_face region for pred
-    landmarks = [model.landmark(name) for name in LANDMARK_NAMES]
-    upper = _upper_face(model)
-    v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=np.concatenate([landmarks, upper]))
-    v_gt = forward_batch(model, gt.params, zero_posed=True, vertices=landmarks)
-    o_pred, w_pred = landmark_distance(v_pred, 0, 1), landmark_distance(v_pred, 2, 3)
-    o_gt, w_gt = landmark_distance(v_gt, 0, 1), landmark_distance(v_gt, 2, 3)
+    idx = _scored_vertices(model)
+    v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=idx)
+    v_gt = forward_batch(model, gt.params, zero_posed=True, vertices=idx[: len(LANDMARK_NAMES)])
+    return _report(model, idx, v_pred, v_gt, gt.fps, cfg)
 
-    undefined: Dict[str, str] = {}
-    t_corr = pearson(o_pred, o_gt)
-    if t_corr is None:
-        undefined["temporal_corr"] = "zero variance"
-    v_corr = velocity_corr(o_pred, o_gt)
-    if v_corr is None:
-        undefined["velocity_corr"] = "zero variance"
-    w_corr = pearson(w_pred, w_gt)
-    if w_corr is None:
-        undefined["lip_width_corr"] = "zero variance"
-    align = peak_align(o_pred, o_gt, cfg, gt.fps)
-    if align is None:
-        undefined["peak_align_ms"] = "no peaks detected"
 
-    return MetricsReport(
-        mod_mm=float(np.mean(np.abs(o_pred - o_gt)) * 1000.0),
-        ufd=_ufd(model, v_pred[:, len(landmarks):], upper),
-        temporal_corr=t_corr,
-        velocity_corr=v_corr,
-        lip_width_corr=w_corr,
-        liveliness_ratio=liveliness(o_pred, o_gt, cfg.epsilon),
-        peak_align_ms=align,
-        undefined=undefined,
-        config=cfg,
-    )
+def compare(
+    model: BlendshapeModel,
+    reference: MotionSequence,
+    candidates: Iterable[MotionSequence],
+    cfg: Optional[MetricsConfig] = None,
+) -> Tuple[float, List[MetricsReport]]:
+    """The reference's UFD, and ``full_report(model, c, reference, cfg)`` for
+    each candidate c, in order. The reference is rendered once; the
+    candidates are consumed one at a time."""
+    cfg = cfg or MetricsConfig()
+    check_pair(reference, reference, min_len=3)  # refuse a reference no pair can score before rendering it
+    idx = _scored_vertices(model)
+    v_ref = forward_batch(model, reference.params, zero_posed=True, vertices=idx)
+    reports = []
+    for pred in candidates:
+        check_pair(pred, reference, min_len=3)
+        v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=idx)
+        reports.append(_report(model, idx, v_pred, v_ref, reference.fps, cfg))
+    return _ufd(model, v_ref, idx), reports

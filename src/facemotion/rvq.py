@@ -204,8 +204,8 @@ def window_decode(
             f"projection window dim {proj.window_dim} does not match config {cfg.window_dim}"
         )
     capacity = len(z) * cfg.group_size
-    if original_t < 0 or original_t > capacity:
-        raise ValueError(f"original_t={original_t} exceeds decoded capacity {capacity}")
+    if not 0 <= original_t <= capacity:
+        raise ValueError(f"original_t={original_t} must be in [0, {capacity}], the decoded capacity")
     out = np.empty((len(z), proj.window_dim))
     # Row-wise products keep segment-wise and whole-sequence decoding
     # bit-identical regardless of BLAS batching.

@@ -240,6 +240,18 @@ def test_decode_excess_frames_exits_4(tmp_path):
                "--tokens", enc / "tokens.a2tk", "--frames", 999) == 4
 
 
+@pytest.mark.parametrize("frames", [0, -1])
+def test_decode_frames_below_one_is_usage_error(tmp_path, capsys, frames):
+    out = gen(tmp_path, frames=10)
+    cb_path = fit(tmp_path, out / "motion.a2mo")
+    enc = tmp_path / "enc"
+    run("encode", "--out", enc, "--codebook", cb_path, "--motion", out / "motion.a2mo")
+    res = tmp_path / "d"
+    assert run("decode", "--out", res, "--codebook", cb_path, "--tokens", enc / "tokens.a2tk", "--frames", frames) == 2
+    assert f"--frames must be >= 1, got {frames}" in capsys.readouterr().err
+    assert not res.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval-recon
 
@@ -249,7 +261,7 @@ def test_eval_recon_identical_inputs_all_zero(tmp_path):
     res = tmp_path / "recon"
     assert run("eval-recon", "--out", res, "--model", out / "model.json",
                "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo") == 0
-    doc = fileio.load_report(res / "loss_report.json")
+    doc = fileio.read_json(res / "loss_report.json")
     assert doc["values"]["l_rec"] == 0.0
     assert doc["values"]["l_vqvae"] == 0.0
     assert doc["weights"]["w_geo"] == 1e5
@@ -262,7 +274,7 @@ def test_eval_recon_includes_quantizer_diagnostics(tmp_path):
     assert run("eval-recon", "--out", res, "--model", out / "model.json",
                "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo",
                "--codebook", cb_path) == 0
-    doc = fileio.load_report(res / "loss_report.json")
+    doc = fileio.read_json(res / "loss_report.json")
     assert doc["values"]["codebook_term"] > 0.0
     assert doc["values"]["commit_term"] == pytest.approx(0.25 * doc["values"]["codebook_term"], rel=1e-12)
     assert doc["values"]["l_vqvae"] == pytest.approx(
@@ -279,7 +291,7 @@ def test_fit_codec_and_eval_recon_use_the_codebook_gamma(tmp_path):
     res = tmp_path / "recon"
     assert run("eval-recon", "--out", res, "--config", cfg, "--model", out / "model.json",
                "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo", "--codebook", cb_path) == 0
-    doc = fileio.load_report(res / "loss_report.json")
+    doc = fileio.read_json(res / "loss_report.json")
     for values in (fitted, doc["values"]):
         assert values["codebook_term"] > 0.0
         assert values["commit_term"] == 0.5 * values["codebook_term"]
@@ -309,7 +321,7 @@ def test_eval_metrics_identity(tmp_path):
     res = tmp_path / "metrics"
     assert run("eval-metrics", "--out", res, "--model", out / "model.json",
                "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo") == 0
-    doc = fileio.load_report(res / "metrics_report.json")
+    doc = fileio.read_json(res / "metrics_report.json")
     assert doc["values"]["mod_mm"] == 0.0
     assert doc["values"]["temporal_corr"] == pytest.approx(1.0, abs=1e-9)
     assert doc["values"]["peak_align_ms"] == 0.0
@@ -365,6 +377,7 @@ def test_compare_three_way_matches_library_reports(tmp_path):
     # every tabulated value composes from the library metric ops
     model = fileio.load_model(ref_dir / "model.json")
     reference = fileio.load_motion(ref_dir / "motion.a2mo")
+    assert doc["reference_ufd"] == metrics.full_report(model, reference, reference).ufd
     for name, path in (("motion", ref_dir), ("motion_1", cand1), ("motion_2", cand2)):
         expected = metrics.full_report(model, fileio.load_motion(path / "motion.a2mo"), reference)
         got = doc["candidates"][name]
@@ -443,7 +456,7 @@ def test_simulate_stream_hold_last(tmp_path):
                "--predictor", "hold_last", "--segment-tokens", 2) == 0
     for name in ("stream_tokens.a2tk", "stream_motion.a2mo", "events.log", "latency_report.json"):
         assert (res / name).exists()
-    doc = fileio.load_report(res / "latency_report.json")
+    doc = fileio.read_json(res / "latency_report.json")
     assert doc["content_duration_ms"] == 2000.0
     assert doc["ttfa_ms"] >= doc["ttft_ms"] >= 0
     log = fileio.load_event_log(res / "events.log")

@@ -123,7 +123,7 @@ def test_csv_rejects_bad_values(tmp_path, edit):
 
 
 @pytest.mark.parametrize("load", [fileio.load_motion_csv, fileio.load_model, fileio.load_event_log,
-                                  fileio.load_report])
+                                  fileio.read_json])
 def test_text_loaders_reject_non_utf8(tmp_path, load):
     path = tmp_path / "latin1.txt"
     path.write_bytes("# fps=25 \u00e9\n".encode("latin-1"))
@@ -409,7 +409,7 @@ def test_loss_report_serialization_is_deterministic(tmp_path, seed0_model, rng):
     fileio.save_loss_report(tmp_path / "r1.json", report)
     fileio.save_loss_report(tmp_path / "r2.json", report)
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-    doc = fileio.load_report(tmp_path / "r1.json")
+    doc = fileio.read_json(tmp_path / "r1.json")
     assert doc["report"] == "loss"
     assert doc["values"]["l_rec"] == report.l_rec
     assert doc["reduction"] == "mean_over_frames_and_dims"
@@ -420,7 +420,7 @@ def test_metrics_report_serializes_undefined_flags(tmp_path, seed0_model):
     report = metrics.full_report(seed0_model, static, static)
     path = tmp_path / "m.json"
     fileio.save_metrics_report(path, report)
-    doc = fileio.load_report(path)
+    doc = fileio.read_json(path)
     assert doc["values"]["temporal_corr"] is None
     assert doc["undefined"]["temporal_corr"] == "zero variance"
     # no frame rate: peak alignment is timed at the clips' own fps
@@ -435,7 +435,7 @@ def test_latency_report_serialization(tmp_path):
     log.append(90.0, "first_motion_frame")
     log.append(703.0, "stream_done", "content_ms=1000.0")
     fileio.save_latency_report(tmp_path / "l.json", streamsim.latency_report(log))
-    doc = fileio.load_report(tmp_path / "l.json")
+    doc = fileio.read_json(tmp_path / "l.json")
     assert doc["rtf"] == 0.703
     assert doc["ttft_ms"] == 50.0
 
@@ -450,7 +450,7 @@ def test_manifest_round_trip(tmp_path):
         config={"synth": {"seed": 0}},
         results={"note": 1},
     )
-    doc = fileio.load_report(tmp_path / "x.manifest.json")
+    doc = fileio.read_json(tmp_path / "x.manifest.json")
     assert doc["manifest"] == 1
     assert doc["command"] == "gen-data"
     assert doc["tool_version"] == __import__("facemotion").__version__

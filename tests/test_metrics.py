@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from facemotion import metrics, synth
 from facemotion.errors import IncompatibleShapeError
-from facemotion.motion_core import BlendshapeModel, MotionSequence, forward_batch
+from facemotion.motion_core import BlendshapeModel, MotionSequence, forward_batch, landmark_distance
 
 
 def opening_axis_model():
@@ -33,6 +35,12 @@ def opening_axis_model():
         regions={"lips": np.arange(4), "face": np.arange(4), "upper_face": np.array([4])},
         landmarks={"upper_lip": 0, "lower_lip": 1, "left_corner": 2, "right_corner": 3},
     )
+
+
+def landmark_series(model, m, a="upper_lip", b="lower_lip"):
+    """Per-frame distance between two landmarks, zero-pose space (default: the mouth opening)."""
+    v = forward_batch(model, m.params, zero_posed=True, vertices=[model.landmark(a), model.landmark(b)])
+    return landmark_distance(v, 0, 1)
 
 
 def motion_with_channel(values, channel=0, fps=25.0):
@@ -71,8 +79,8 @@ def test_mod_matches_landmark_oracle(seed0_model, seed0_motion, rng):
     gt = MotionSequence(seed0_motion.params[:15], fps=25.0)
     pred = MotionSequence(gt.params + rng.standard_normal(gt.params.shape) * 0.01, fps=25.0)
     got = metrics.full_report(seed0_model, pred, gt).mod_mm
-    o_pred = metrics.opening_series(seed0_model, pred)
-    o_gt = metrics.opening_series(seed0_model, gt)
+    o_pred = landmark_series(seed0_model, pred)
+    o_gt = landmark_series(seed0_model, gt)
     expected = sum(abs(a - b) for a, b in zip(o_pred, o_gt)) / 15 * 1000.0
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -99,39 +107,43 @@ def test_mod_invariant_under_shared_global_pose(seed0_model, seed0_motion, rng):
 
 def test_ufd_static_sequence_is_zero(seed0_model):
     m = MotionSequence(np.tile(np.linspace(0, 0.1, 58), (6, 1)))
-    assert metrics.ufd(seed0_model, m) == 0.0
+    assert metrics.full_report(seed0_model, m, m).ufd == 0.0
 
 
 def test_ufd_single_vertex_unit_growth_anchor():
     model = opening_axis_model()
     t = 8
     m = motion_with_channel(np.arange(t) * 1e-5, channel=1)  # displacement t * 1e-5
-    assert metrics.ufd(model, m) == pytest.approx(1.0, rel=1e-9)
+    assert metrics.full_report(model, m, m).ufd == pytest.approx(1.0, rel=1e-9)
 
 
 def test_ufd_matches_displacement_oracle(seed0_model, seed0_motion):
-    m = MotionSequence(seed0_motion.params[:12], fps=25.0)
-    got = metrics.ufd(seed0_model, m)
     idx = seed0_model.region("upper_face")
-    neutral = forward_batch(seed0_model, np.zeros((1, 58)))[0, idx]
-    verts = forward_batch(seed0_model, m.params, zero_posed=True)[:, idx]
-    disp = np.sqrt(((verts - neutral) ** 2).sum(axis=2))
-    acc = 0.0
-    for t in range(1, 12):
-        acc += np.abs(disp[t] - disp[t - 1]).mean()
-    assert got == pytest.approx(acc / 11 * 1e5, rel=1e-12)
+    minus_zero = dataclasses.replace(seed0_model, template=seed0_model.template.copy())
+    minus_zero.template[idx[::2], 1] = -0.0
+    m = MotionSequence(seed0_motion.params[:12], fps=25.0)
+    for model in (seed0_model, minus_zero):
+        got = metrics.full_report(model, m, m).ufd
+        neutral = forward_batch(model, np.zeros((1, 58)))[0, idx]
+        verts = forward_batch(model, m.params, zero_posed=True)[:, idx]
+        disp = np.sqrt(((verts - neutral) ** 2).sum(axis=2))
+        acc = 0.0
+        for t in range(1, 12):
+            acc += np.abs(disp[t] - disp[t - 1]).mean()
+        assert got == pytest.approx(acc / 11 * 1e5, rel=1e-12)
+        # the displacement is squared, so the rendered neutral gives the template's bits
+        disp = np.linalg.norm(verts - neutral, axis=-1)
+        assert got == float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
+    # zero parameters render a -0.0 template coordinate as +0.0
+    neutral = forward_batch(minus_zero, np.zeros((1, 58)))[0, idx]
+    assert np.any(np.signbit(neutral) != np.signbit(minus_zero.template[idx]))
 
 
 def test_ufd_invariant_under_global_pose(seed0_model, seed0_motion):
     m = MotionSequence(seed0_motion.params[:10].copy(), fps=25.0)
-    base = metrics.ufd(seed0_model, m)
+    base = metrics.full_report(seed0_model, m, m).ufd
     m.params[:, 53:56] = [0.2, 0.1, -0.4]
-    assert metrics.ufd(seed0_model, m) == base
-
-
-def test_ufd_needs_two_frames(seed0_model):
-    with pytest.raises(ValueError):
-        metrics.ufd(seed0_model, MotionSequence(np.zeros((1, 58))))
+    assert metrics.full_report(seed0_model, m, m).ufd == base
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +236,7 @@ def test_peak_align_anchor_100ms():
 
 def test_peak_align_identical_is_zero(seed0_model, seed0_motion):
     cfg = metrics.MetricsConfig()
-    o = metrics.opening_series(seed0_model, seed0_motion)
+    o = landmark_series(seed0_model, seed0_motion)
     assert metrics.peak_align(o, o, cfg, seed0_motion.fps) == 0.0
 
 
@@ -284,7 +296,7 @@ def test_full_report_identity_profile(seed0_model, seed0_motion):
     assert 1.0 - 1e-3 <= report.liveliness_ratio <= 1.0
     assert report.peak_align_ms == 0.0
     assert report.undefined == {}
-    assert report.ufd == metrics.ufd(seed0_model, seed0_motion)
+    assert report.ufd == metrics.compare(seed0_model, seed0_motion, [])[0]
 
 
 def test_full_report_flags_static_prediction(seed0_model):
@@ -304,12 +316,12 @@ def test_full_report_composes_per_metric_values(seed0_model, seed0_motion, rng):
     pred = MotionSequence(gt.params + rng.standard_normal(gt.params.shape) * 0.005, fps=25.0)
     cfg = metrics.MetricsConfig()
     report = metrics.full_report(seed0_model, pred, gt, cfg)
-    o_pred = metrics.opening_series(seed0_model, pred)
-    o_gt = metrics.opening_series(seed0_model, gt)
-    w_pred = metrics.width_series(seed0_model, pred)
-    w_gt = metrics.width_series(seed0_model, gt)
+    o_pred = landmark_series(seed0_model, pred)
+    o_gt = landmark_series(seed0_model, gt)
+    w_pred = landmark_series(seed0_model, pred, "left_corner", "right_corner")
+    w_gt = landmark_series(seed0_model, gt, "left_corner", "right_corner")
     assert report.mod_mm == float(np.mean(np.abs(o_pred - o_gt)) * 1000.0)
-    assert report.ufd == metrics.ufd(seed0_model, pred)
+    assert report.ufd == metrics.compare(seed0_model, pred, [])[0]
     assert report.temporal_corr == metrics.pearson(o_pred, o_gt)
     assert report.velocity_corr == metrics.velocity_corr(o_pred, o_gt)
     assert report.lip_width_corr == metrics.pearson(w_pred, w_gt)
@@ -322,6 +334,49 @@ def test_full_report_times_peaks_at_the_clip_fps(seed0_model):
     gt = synth.make_motion(synth.SynthConfig(seed=0, duration_frames=300, fps=30.0))
     pred = MotionSequence(np.roll(gt.params, 3, axis=0), fps=30.0)
     assert metrics.full_report(seed0_model, pred, gt, metrics.MetricsConfig()).peak_align_ms == 100.0
+
+
+def test_compare_matches_full_report(seed0_model, seed0_motion, rng):
+    reference = MotionSequence(seed0_motion.params[:60], fps=25.0)
+    candidates = [
+        reference,
+        MotionSequence(reference.params + rng.standard_normal(reference.params.shape) * 0.005, fps=25.0),
+        MotionSequence(np.zeros((60, 58)), fps=25.0),  # undefined flags
+    ]
+    cfg = metrics.MetricsConfig(peak_min_distance=4)
+    ref_ufd, reports = metrics.compare(seed0_model, reference, iter(candidates), cfg)
+    assert ref_ufd == metrics.full_report(seed0_model, reference, reference).ufd
+    assert reports == [metrics.full_report(seed0_model, c, reference, cfg) for c in candidates]
+    assert reports[2].undefined
+
+
+def test_compare_renders_the_reference_once(seed0_model, seed0_motion, monkeypatch):
+    reference = MotionSequence(seed0_motion.params[:30], fps=25.0)
+    events = []
+    render = metrics.forward_batch
+
+    def counted(model, params, **kwargs):
+        events.append(("render", len(params), len(kwargs["vertices"])))
+        return render(model, params, **kwargs)
+
+    def candidates():
+        for i in range(3):
+            events.append(("load", i))
+            yield MotionSequence(seed0_motion.params[10 * i : 10 * i + 30], fps=25.0)
+
+    monkeypatch.setattr(metrics, "forward_batch", counted)
+    scored = 4 + seed0_model.region("upper_face").size
+    metrics.compare(seed0_model, reference, candidates())
+    # one render of the reference, then one per candidate, each taken when its turn comes
+    assert events == [("render", 30, scored)] + [e for i in range(3) for e in (("load", i), ("render", 30, scored))]
+    events.clear()
+    metrics.full_report(seed0_model, reference, reference)
+    assert events == [("render", 30, scored), ("render", 30, 4)]  # the reference's landmarks only
+
+
+def test_compare_refuses_a_reference_too_short_to_score(seed0_model):
+    with pytest.raises(ValueError, match="at least 3 frames"):
+        metrics.compare(seed0_model, MotionSequence(np.zeros((2, 58))), [])
 
 
 def test_metrics_config_validation():

@@ -184,19 +184,25 @@ def static(t=1):
     return mc.MotionSequence(np.zeros((t, 58)))
 
 
+def mouth(model, t=1):
+    """Zero-posed landmarks of t zero frames, (t, 4, 3) in LANDMARK_NAMES order."""
+    return mc.forward_batch(model, static(t).params, zero_posed=True,
+                            vertices=[model.landmark(name) for name in mc.LANDMARK_NAMES])
+
+
 def test_mouth_opening_simple_cases():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
     assert mc.landmark_distance(model.template, 0, 1) == 2.0
-    assert metrics.opening_series(model, static(2)).tolist() == [2.0, 2.0]
+    assert mc.landmark_distance(mouth(model, 2), 0, 1).tolist() == [2.0, 2.0]
     coincident = tiny_model([[0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    assert metrics.opening_series(coincident, static()).tolist() == [0.0]
+    assert mc.landmark_distance(mouth(coincident), 0, 1).tolist() == [0.0]
 
 
 def test_mouth_width_simple_cases():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [-0.02, 0, 0], [0.03, 0, 0], [0, 2, 0]])
-    assert metrics.width_series(model, static())[0] == pytest.approx(0.05, abs=1e-15)
+    assert mc.landmark_distance(mouth(model), 2, 3)[0] == pytest.approx(0.05, abs=1e-15)
     coincident = tiny_model([[0, 1, 0], [0, -1, 0], [0.1, 0, 0], [0.1, 0, 0], [0, 2, 0]])
-    assert metrics.width_series(coincident, static()).tolist() == [0.0]
+    assert mc.landmark_distance(mouth(coincident), 2, 3).tolist() == [0.0]
 
 
 def test_mouth_metrics_match_landmark_oracle(seed0_model, rng):
@@ -217,14 +223,15 @@ def test_missing_landmark_raises():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
     model.landmarks.pop("upper_lip")
     with pytest.raises(ModelConfigError):
-        metrics.opening_series(model, static())
+        metrics.full_report(model, static(3), static(3))
 
 
 def test_mouth_metrics_invariant_under_global_pose_when_zero_posed(seed0_model, rng):
     params = random_params(rng)
-    o_posed = metrics.opening_series(seed0_model, mc.MotionSequence(params))[0]
-    neutral = mc.forward_batch(seed0_model, zero_global(params))[0]
     lm = seed0_model.landmark
+    lips = [lm("upper_lip"), lm("lower_lip")]
+    o_posed = mc.landmark_distance(mc.forward_batch(seed0_model, params, zero_posed=True, vertices=lips), 0, 1)[0]
+    neutral = mc.forward_batch(seed0_model, zero_global(params))[0]
     assert o_posed == mc.landmark_distance(neutral, lm("upper_lip"), lm("lower_lip"))
 
 

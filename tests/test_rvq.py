@@ -142,8 +142,9 @@ def test_window_decode_rejects_excess_length(rng):
     cfg = small_cfg(latent_dim=5 * FRAME_DIM)
     proj = rvq.WindowProjection.identity(cfg.window_dim)
     z = rvq.window_encode(random_motion(rng, t=10), proj, cfg)
-    with pytest.raises(ValueError):
-        rvq.window_decode(z, proj, cfg, original_t=11)
+    for original_t in (11, -1):
+        with pytest.raises(ValueError, match=rf"original_t={original_t} must be in \[0, 10\]"):
+            rvq.window_decode(z, proj, cfg, original_t=original_t)
 
 
 # ---------------------------------------------------------------------------

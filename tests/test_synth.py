@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from facemotion import synth
-from facemotion.metrics import detect_peaks, opening_series
+from facemotion.metrics import detect_peaks
+from facemotion.motion_core import forward_batch, landmark_distance
 
 GOLDEN = Path(__file__).parent / "golden" / "seed0_model_landmarks.json"
 
@@ -71,7 +72,8 @@ def test_jaw_channel_is_rectified_sinusoid():
 
 
 def test_seed0_opening_peak_count_matches_speech_rate(seed0_model, seed0_motion, seed0_cfg):
-    opening = opening_series(seed0_model, seed0_motion)
+    lips = [seed0_model.landmark("upper_lip"), seed0_model.landmark("lower_lip")]
+    opening = landmark_distance(forward_batch(seed0_model, seed0_motion.params, zero_posed=True, vertices=lips), 0, 1)
     n_peaks = len(detect_peaks(opening, 0.05, 3))
     expected = round(seed0_cfg.duration_frames / seed0_cfg.fps * seed0_cfg.speech_rate_hz)
     assert abs(n_peaks - expected) <= 1
