@@ -427,13 +427,12 @@ def cmd_simulate_stream(args, config) -> Outcome:
     corpus = None
     if args.predictor == "oracle":
         gt_tokens = fileio.load_tokens(args.gt_tokens, group_size=qcfg.group_size)
+        rvq.check_fit(gt_tokens, cb)
     if args.predictor == "retrieval":
-        corpus = streamsim.make_retrieval_corpus(
-            fileio.load_features(args.corpus_features),
-            fileio.load_tokens(args.corpus_tokens, group_size=qcfg.group_size),
-            qcfg,
-            segment_tokens,
-        )
+        corpus_features = fileio.load_features(args.corpus_features)
+        corpus_tokens = fileio.load_tokens(args.corpus_tokens, group_size=qcfg.group_size)
+        rvq.check_fit(corpus_tokens, cb)
+        corpus = streamsim.make_retrieval_corpus(corpus_features, corpus_tokens, qcfg, segment_tokens)
     predictor = streamsim.PredictorSpec(kind=args.predictor, corpus=corpus, gt_tokens=gt_tokens, seed=seed)
     timing = streamsim.TimingModel(**settings)
     tokens, motion, log = streamsim.run_stream(

@@ -78,7 +78,8 @@ def _read_fields(fh, fields: _Fields) -> list:
 
 def _read_f32_array(fh, count: int, what: str) -> np.ndarray:
     data = _read_exact(fh, 4 * count, what)
-    return np.frombuffer(data, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is cast quietly, then refused as non-finite
+        return np.frombuffer(data, dtype="<f4").astype(np.float64)
 
 
 def _read_text(path: _PathLike) -> str:

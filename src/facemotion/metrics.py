@@ -20,6 +20,7 @@ from .motion_core import (
     BlendshapeModel,
     MotionSequence,
     check_pair,
+    count_at_least,
     forward_batch,
     landmark_distance,
 )
@@ -36,11 +37,7 @@ class MetricsConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.peak_min_prominence < 1.0:
             raise ValueError(f"peak_min_prominence must be in [0, 1), got {self.peak_min_prominence}")
-        distance = self.peak_min_distance
-        if isinstance(distance, bool) or not isinstance(distance, (int, np.integer)):
-            raise ValueError(f"peak_min_distance must be an integer, got {distance!r}")
-        if distance < 1:
-            raise ValueError(f"peak_min_distance must be >= 1, got {distance}")
+        count_at_least(self.peak_min_distance, "peak_min_distance")
 
     def to_dict(self) -> Dict[str, float]:
         return {**asdict(self), "std_convention": "population"}

@@ -91,10 +91,23 @@ def nonnegative_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _as_float_array(x, shape, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != shape:
-        raise IncompatibleShapeError(f"{name} must have shape {shape}, got {arr.shape}")
+def count_at_least(value, name: str, minimum: int = 1) -> None:
+    """The rule for sizes and counts: ``value`` must be an integer, not a bool, and >= ``minimum``;
+    ValueError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def finite_array(value, name: str, shape) -> np.ndarray:
+    """The array rule: ``value`` as a float64 array of ``shape``, every entry finite. A length in
+    ``shape`` fixes that axis; a str, such as "T", names an axis of any length.
+    IncompatibleShapeError or ValueError naming ``name`` otherwise."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != len(shape) or any(got != want for got, want in zip(arr.shape, shape) if not isinstance(want, str)):
+        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise IncompatibleShapeError(f"{name} must have shape ({text}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -132,13 +145,7 @@ class MotionSequence:
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 2 or self.params.shape[1] != FRAME_DIM:
-            raise IncompatibleShapeError(
-                f"params must have shape (T, {FRAME_DIM}), got {self.params.shape}"
-            )
-        if not np.all(np.isfinite(self.params)):
-            raise ValueError("motion params contain non-finite values")
+        self.params = finite_array(self.params, "params", ("T", FRAME_DIM))
         self.fps = positive_f32(self.fps)
 
     def __len__(self) -> int:
@@ -174,14 +181,11 @@ class BlendshapeModel:
     landmarks: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        shape = np.shape(self.template)
-        if len(shape) != 2 or shape[1] != 3:
-            raise IncompatibleShapeError(f"template must have shape (N, 3), got {shape}")
-        n = shape[0]
-        self.template = _as_float_array(self.template, (n, 3), "template")
-        self.expr_basis = _as_float_array(self.expr_basis, (n, 3, EXPRESSION_DIM), "expr_basis")
-        self.eyelid_basis = _as_float_array(self.eyelid_basis, (n, 3, EYELID_DIM), "eyelid_basis")
-        self.jaw_joint = _as_float_array(self.jaw_joint, (3,), "jaw_joint")
+        self.template = finite_array(self.template, "template", ("N", 3))
+        n = self.template.shape[0]
+        self.expr_basis = finite_array(self.expr_basis, "expr_basis", (n, 3, EXPRESSION_DIM))
+        self.eyelid_basis = finite_array(self.eyelid_basis, "eyelid_basis", (n, 3, EYELID_DIM))
+        self.jaw_joint = finite_array(self.jaw_joint, "jaw_joint", (3,))
         self.jaw_region = np.asarray(self.jaw_region, dtype=np.intp)
         self.regions = {k: np.asarray(v, dtype=np.intp) for k, v in self.regions.items()}
         self.landmarks = {k: int(v) for k, v in self.landmarks.items()}
@@ -244,11 +248,7 @@ def forward_batch(
     call builds each block in place in its output; a subset call builds it
     in one reused whole-mesh block buffer and gathers the subset from there.
     """
-    p = np.asarray(params, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != FRAME_DIM:
-        raise IncompatibleShapeError(f"params must have shape (T, {FRAME_DIM}), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("motion params contain non-finite values")
+    p = finite_array(params, "params", ("T", FRAME_DIM))
     t, n = p.shape[0], model.num_vertices
     out_idx = None
     if vertices is not None:

@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import IncompatibleShapeError
-from .motion_core import DEFAULT_FPS, FRAME_DIM, MotionSequence, nonnegative_finite, positive_f32
+from .motion_core import (
+    DEFAULT_FPS,
+    FRAME_DIM,
+    MotionSequence,
+    count_at_least,
+    finite_array,
+    nonnegative_finite,
+    positive_f32,
+)
 
 
 @dataclass
@@ -40,8 +48,7 @@ class QuantizerConfig:
 
     def __post_init__(self):
         for name in ("group_size", "num_levels", "codebook_size", "latent_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            count_at_least(getattr(self, name), name)
         for name in ("gamma", "dead_code_threshold"):
             nonnegative_finite(getattr(self, name), name)
         if self.gamma:  # the codebook file holds it as f32
@@ -62,16 +69,11 @@ class WindowProjection:
     decode_b: np.ndarray  # (G*58,)
 
     def __post_init__(self):
-        self.encode_w = np.asarray(self.encode_w, dtype=np.float64)
-        self.encode_b = np.asarray(self.encode_b, dtype=np.float64)
-        self.decode_w = np.asarray(self.decode_w, dtype=np.float64)
-        self.decode_b = np.asarray(self.decode_b, dtype=np.float64)
+        self.encode_w = finite_array(self.encode_w, "encode_w", ("d_z", "G*58"))
         d_z, wd = self.encode_w.shape
-        if self.encode_b.shape != (d_z,) or self.decode_w.shape != (wd, d_z) or self.decode_b.shape != (wd,):
-            raise IncompatibleShapeError("projection map shapes are inconsistent")
-        for arr in (self.encode_w, self.encode_b, self.decode_w, self.decode_b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("projection contains non-finite values")
+        self.encode_b = finite_array(self.encode_b, "encode_b", (d_z,))
+        self.decode_w = finite_array(self.decode_w, "decode_w", (wd, d_z))
+        self.decode_b = finite_array(self.decode_b, "decode_b", (wd,))
 
     @property
     def latent_dim(self) -> int:
@@ -94,11 +96,7 @@ class LatentSequence:
     fps_latent: float = DEFAULT_FPS / QuantizerConfig.group_size  # no file stores it, so it is not rounded
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise IncompatibleShapeError(f"latents must be 2-D, got shape {self.vectors.shape}")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("latents contain non-finite values")
+        self.vectors = finite_array(self.vectors, "latents", ("L", "d_z"))
         self.fps_latent = float(self.fps_latent)
         positive_f32(self.fps_latent, "fps_latent")
 
@@ -138,16 +136,10 @@ class Codebook:
     usage: np.ndarray = None
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 3:
-            raise IncompatibleShapeError(f"entries must have shape (N_q, K, d_z), got {self.entries.shape}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("codebook entries contain non-finite values")
+        self.entries = finite_array(self.entries, "entries", ("N_q", "K", "d_z"))
         if self.usage is None:
             self.usage = np.zeros(self.entries.shape[:2])
-        self.usage = np.asarray(self.usage, dtype=np.float64)
-        if self.usage.shape != self.entries.shape[:2]:
-            raise IncompatibleShapeError("usage shape must match (N_q, K)")
+        self.usage = finite_array(self.usage, "usage", self.entries.shape[:2])
 
     @property
     def num_levels(self) -> int:
@@ -206,11 +198,10 @@ def window_decode(
     capacity = len(z) * cfg.group_size
     if not 0 <= original_t <= capacity:
         raise ValueError(f"original_t={original_t} must be in [0, {capacity}], the decoded capacity")
-    out = np.empty((len(z), proj.window_dim))
-    # Row-wise products keep segment-wise and whole-sequence decoding
-    # bit-identical regardless of BLAS batching.
-    for i in range(len(z)):
-        out[i] = proj.decode_w @ z.vectors[i] + proj.decode_b
+    # One matrix-vector product per latent, stacked, keeps segment-wise and
+    # whole-sequence decoding bit-identical whatever the number of latents.
+    out = np.matmul(proj.decode_w, z.vectors[:, :, None])[..., 0]
+    out += proj.decode_b
     frames = out.reshape(-1, FRAME_DIM)[:original_t]
     return MotionSequence(frames, fps=z.fps_latent * cfg.group_size)
 
@@ -359,12 +350,16 @@ def rvq_encode(
     return tokens, level_norms
 
 
-def rvq_decode(t: TokenSequence, cb: Codebook, fps_latent: float) -> LatentSequence:
-    """Sum the selected codewords per level."""
+def check_fit(t: TokenSequence, cb: Codebook) -> None:
+    """The token grid rule's codebook half: ``t`` echoes ``cb``'s (N_q, K), so, with the range
+    TokenSequence checks, every index names one of ``cb``'s codewords."""
     if t.num_levels != cb.num_levels or t.codebook_size != cb.codebook_size:
         raise IncompatibleShapeError("token grid does not match codebook configuration")
-    if t.indices.size and t.indices.max() >= cb.codebook_size:
-        raise ValueError("token index out of codebook range")
+
+
+def rvq_decode(t: TokenSequence, cb: Codebook, fps_latent: float) -> LatentSequence:
+    """Sum the selected codewords per level."""
+    check_fit(t, cb)
     vectors = np.zeros((len(t), cb.latent_dim))
     for j in range(cb.num_levels):
         vectors += cb.entries[j][t.indices[:, j]]
@@ -587,11 +582,7 @@ def _lloyd(
     return best[0], best[1], history
 
 
-def train_codebooks(
-    latents: Union[LatentSequence, np.ndarray],
-    cfg: QuantizerConfig,
-    return_history: bool = False,
-):
+def train_codebooks(latents: np.ndarray, cfg: QuantizerConfig, return_history: bool = False):
     """Train N_q residual codebooks with encoding's exact metric; deterministic for a given cfg.seed.
 
     Level j is seeded by greedy k-means++ from its own generator,
@@ -600,7 +591,7 @@ def train_codebooks(
     count under the returned codebook. With return_history, also returns
     each level's list of Lloyd distortions (see lloyd_stop).
     """
-    vectors = latents.vectors if isinstance(latents, LatentSequence) else np.asarray(latents, dtype=np.float64)
+    vectors = np.asarray(latents, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training batch must be a nonempty (M, d_z) array")
     k = cfg.codebook_size
@@ -622,19 +613,14 @@ def train_codebooks(
     return cb
 
 
-def commitment_loss(
-    z: Union[LatentSequence, np.ndarray],
-    q: Union[LatentSequence, np.ndarray],
-    gamma: float,
-) -> Tuple[float, float, float]:
+def commitment_loss(z: LatentSequence, q: LatentSequence, gamma: float) -> Tuple[float, float, float]:
     """Quantizer objective diagnostic: (codebook term, gamma-scaled commit term, sum).
 
     Both terms share the value mean-over-vectors of ||z - q||^2; the
     stop-gradient operators in the definition only affect differentiation,
     which this artifact does not perform.
     """
-    zv = z.vectors if isinstance(z, LatentSequence) else np.asarray(z, dtype=np.float64)
-    qv = q.vectors if isinstance(q, LatentSequence) else np.asarray(q, dtype=np.float64)
+    zv, qv = z.vectors, q.vectors
     if zv.shape != qv.shape:
         raise IncompatibleShapeError(f"z shape {zv.shape} does not match q shape {qv.shape}")
     mse = float(np.mean(np.einsum("nd,nd->n", zv - qv, zv - qv))) if zv.size else 0.0

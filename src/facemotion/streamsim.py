@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import IncompatibleShapeError, StreamProtocolError
-from .motion_core import DEFAULT_FPS, MotionSequence, nonnegative_finite, positive_f32
+from .motion_core import DEFAULT_FPS, MotionSequence, count_at_least, finite_array, nonnegative_finite, positive_f32
 from .rvq import Codebook, QuantizerConfig, TokenSequence, WindowProjection, pad_to_group, rvq_decode, window_decode
 
 EVENT_KINDS = (
@@ -43,11 +43,9 @@ class AudioFeatureSequence:
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[1] < 1:
+        self.features = finite_array(self.features, "features", ("T", "d_h"))
+        if self.features.shape[1] < 1:
             raise IncompatibleShapeError(f"features must be 2-D with >= 1 column, got shape {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
         self.fps = positive_f32(self.fps)
 
     def __len__(self) -> int:
@@ -91,14 +89,9 @@ class PredictorSpec:
         if self.kind == "retrieval":
             if not self.corpus:
                 raise StreamProtocolError("retrieval predictor requires a nonempty corpus")
-            keys = [np.asarray(k, dtype=np.float64) for k, _ in self.corpus]
-            for i, (key, (_, rows)) in enumerate(zip(keys, self.corpus)):
-                if key.ndim != 1:
-                    raise IncompatibleShapeError(f"corpus key {i} must be 1-D, got shape {key.shape}")
-                if key.shape != keys[0].shape:
-                    raise IncompatibleShapeError(f"corpus key {i} has length {key.size}, key 0 has {keys[0].size}")
-                if not np.all(np.isfinite(key)):
-                    raise ValueError(f"corpus key {i} contains non-finite values")
+            keys = []
+            for i, (key, rows) in enumerate(self.corpus):
+                keys.append(finite_array(key, f"corpus key {i}", keys[0].shape if keys else ("d_h",)))
                 if np.ndim(rows) != 2 or len(rows) == 0:
                     raise IncompatibleShapeError(
                         f"corpus token segment {i} has shape {np.shape(rows)}; it must be 2-D with >= 1 row")
@@ -116,20 +109,12 @@ class PredictorSpec:
 class SegmentState:
     """Decode-loop state: exactly one segment of token history."""
 
-    history_tokens: Optional[np.ndarray]  # (n, N_q) or None at stream start
+    # (n, N_q) or None at stream start. Not checked here: only hold_last reads
+    # it, and step checks what it reads as a TokenSequence.
+    history_tokens: Optional[np.ndarray]
     segment_index: int
     cfg: QuantizerConfig  # the codec's
     segment_tokens: int
-
-    def __post_init__(self):
-        if self.history_tokens is not None:
-            self.history_tokens = np.asarray(self.history_tokens, dtype=np.int64)
-            if self.history_tokens.ndim != 2 or self.history_tokens.shape[1] != self.cfg.num_levels:
-                raise IncompatibleShapeError("history token grid does not match num_levels")
-            if self.history_tokens.size and (
-                self.history_tokens.min() < 0 or self.history_tokens.max() >= self.cfg.codebook_size
-            ):
-                raise ValueError("history token indices out of range")
 
 
 def initial_state(cfg: QuantizerConfig, segment_tokens: int = SEGMENT_TOKENS) -> SegmentState:
@@ -173,8 +158,6 @@ def step(
 ) -> Tuple[TokenSequence, MotionSequence, SegmentState]:
     """Run one segment: predict tokens from (features, history), decode motion."""
     cfg = state.cfg
-    if cb.num_levels != cfg.num_levels or cb.codebook_size != cfg.codebook_size:
-        raise IncompatibleShapeError("segment state does not match codebook configuration")
     if len(segment_features) == 0:
         raise ValueError("segment has no feature frames")
     g = cfg.group_size
@@ -287,8 +270,7 @@ def _segment_chunks(
     features: AudioFeatureSequence, cfg: QuantizerConfig, segment_tokens: int
 ) -> List[AudioFeatureSequence]:
     """The feature rows of each segment: G * segment_tokens frames, the last maybe fewer."""
-    if segment_tokens < 1:
-        raise ValueError(f"segment_tokens must be >= 1, got {segment_tokens}")
+    count_at_least(segment_tokens, "segment_tokens")
     seg_frames = cfg.group_size * segment_tokens
     return [
         AudioFeatureSequence(features.features[i : i + seg_frames], fps=features.fps)
@@ -370,15 +352,13 @@ def hierarchical_ce(pred_dists: np.ndarray, targets: TokenSequence) -> float:
     probability distribution: finite entries >= 0 that sum to 1 within 1e-6.
     A zero probability at any target makes the result +inf.
     """
-    dists = np.asarray(pred_dists, dtype=np.float64)
-    if dists.ndim != 3:
-        raise IncompatibleShapeError(f"pred_dists must be (L, N_q, K), got {dists.shape}")
+    dists = finite_array(pred_dists, "pred_dists", ("L", "N_q", "K"))
     n, n_q, k = dists.shape
     if targets.indices.shape != (n, n_q) or k != targets.codebook_size:
         raise IncompatibleShapeError("pred_dists shape does not match target token grid")
     if n == 0:
         raise ValueError("cannot score an empty token grid")
-    if not np.all((dists >= 0.0) & (dists < np.inf)):  # False for NaN too
+    if np.any(dists < 0.0):
         raise ValueError("pred_dists must hold finite probabilities >= 0")
     sums = dists.sum(axis=2)
     if np.any(np.abs(sums - 1.0) > 1e-6):

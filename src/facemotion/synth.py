@@ -22,6 +22,7 @@ from .motion_core import (
     FRAME_DIM,
     BlendshapeModel,
     MotionSequence,
+    count_at_least,
     nonnegative_finite,
     positive_f32,
 )
@@ -62,10 +63,8 @@ class SynthConfig:
     noise_std: float = 0.002
 
     def __post_init__(self):
-        if self.num_vertices < MIN_VERTICES:
-            raise ValueError(f"num_vertices must be >= {MIN_VERTICES}, got {self.num_vertices}")
-        if self.duration_frames < 1:
-            raise ValueError(f"duration_frames must be >= 1, got {self.duration_frames}")
+        count_at_least(self.num_vertices, "num_vertices", MIN_VERTICES)
+        count_at_least(self.duration_frames, "duration_frames")
         positive_f32(self.fps)
         if not 0 < self.speech_rate_hz < np.inf:
             raise ValueError(f"speech_rate_hz must be positive and finite, got {self.speech_rate_hz}")

@@ -552,6 +552,24 @@ def test_simulate_stream_takes_exactly_the_inputs_its_predictor_reads(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("predictor", ["oracle", "retrieval"])
+def test_simulate_stream_refuses_tokens_that_do_not_fit_the_codec(tmp_path, capsys, predictor):
+    data = gen(tmp_path, frames=50)
+    cb_path = fit(tmp_path, data / "motion.a2mo")  # N_q = 1, K = 16
+    tokens = tmp_path / "k64.a2tk"
+    # every index is below 16, so only the header's K = 64 tells the grid from one of this codec
+    fileio.save_tokens(tokens, rvq.TokenSequence(np.arange(10)[:, None], group_size=5, num_levels=1,
+                                                 codebook_size=64))
+    feats = make_features(tmp_path, t=50)
+    flags = (["--gt-tokens", tokens] if predictor == "oracle"
+             else ["--corpus-features", feats, "--corpus-tokens", tokens])
+    out = tmp_path / "s"
+    assert run("simulate-stream", "--out", out, "--features", feats, "--codebook", cb_path,
+               "--predictor", predictor, *flags) == 4
+    assert "simulate-stream: token grid does not match codebook configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_stream_rejects_features_without_frames(tmp_path, capsys, files):
     empty = tmp_path / "empty.a2fe"
     fileio.save_features(empty, streamsim.AudioFeatureSequence(np.zeros((0, 6))))

@@ -519,7 +519,7 @@ def test_binary_header_layout(tmp_path, kind):
         ("a2tk", lambda b: _patch(b, 16, "<I", 0), "positive"),
         ("a2tk", lambda b: _patch(b, 20, "<H", 2), r"\[0, 2\)"),
         ("a2cb", lambda b: b + b"\x00", "trailing"),
-        ("a2cb", lambda b: _patch(b, 12, "<I", 0), "codebook_size must be positive"),
+        ("a2cb", lambda b: _patch(b, 12, "<I", 0), "codebook_size must be >= 1, got 0"),
         ("a2cb", lambda b: _patch(b, 24, "<f", NAN), "gamma"),
         ("a2cb", lambda b: _patch(b, 24, "<f", INF), "gamma must be finite"),
         ("a2cb", lambda b: _patch(b, 28, "<f", INF), "non-finite"),

@@ -138,6 +138,17 @@ def test_window_decode_matches_matmul_oracle(rng):
     np.testing.assert_allclose(out.params, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("latents", [1, 5, 7, 400])
+def test_window_decode_of_a_sequence_equals_its_one_latent_decodes(rng, latents):
+    cfg = small_cfg(latent_dim=16)
+    proj = random_projection(rng, 16, cfg.window_dim)
+    z = rvq.LatentSequence(rng.standard_normal((latents, 16)))
+    whole = rvq.window_decode(z, proj, cfg, original_t=latents * cfg.group_size)
+    rows = [rvq.window_decode(rvq.LatentSequence(v[None]), proj, cfg, original_t=cfg.group_size).params
+            for v in z.vectors]
+    assert whole.params.tobytes() == np.vstack(rows).tobytes()
+
+
 def test_window_decode_rejects_excess_length(rng):
     cfg = small_cfg(latent_dim=5 * FRAME_DIM)
     proj = rvq.WindowProjection.identity(cfg.window_dim)
@@ -520,7 +531,7 @@ def test_commitment_unit_vector_anchor():
 def test_commitment_matches_summation_oracle(rng):
     zv = rng.standard_normal((10, 4))
     qv = rng.standard_normal((10, 4))
-    codebook_term, commit_term, total = rvq.commitment_loss(zv, qv, 0.25)
+    codebook_term, commit_term, total = rvq.commitment_loss(rvq.LatentSequence(zv), rvq.LatentSequence(qv), 0.25)
     expected = oracles.mean_squared(zv - qv) * 4  # mean over elements * d = mean over vectors
     assert codebook_term == pytest.approx(expected, rel=1e-12)
     assert commit_term == pytest.approx(0.25 * expected, rel=1e-12)
@@ -529,7 +540,7 @@ def test_commitment_matches_summation_oracle(rng):
 
 def test_commitment_shape_mismatch():
     with pytest.raises(IncompatibleShapeError):
-        rvq.commitment_loss(np.zeros((2, 3)), np.zeros((3, 3)), 0.25)
+        rvq.commitment_loss(rvq.LatentSequence(np.zeros((2, 3))), rvq.LatentSequence(np.zeros((3, 3))), 0.25)
 
 
 # ---------------------------------------------------------------------------

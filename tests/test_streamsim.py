@@ -95,9 +95,9 @@ def test_retrieval_matches_exhaustive_scan(rng):
 @pytest.mark.parametrize("corpus, error, message", [
     ([(np.zeros(3), [[0]]), (np.array([0.0, np.nan, 0.0]), [[1]])], ValueError,
      "corpus key 1 contains non-finite values"),
-    ([(np.zeros((2, 3)), [[0]])], IncompatibleShapeError, "corpus key 0 must be 1-D, got shape (2, 3)"),
+    ([(np.zeros((2, 3)), [[0]])], IncompatibleShapeError, "corpus key 0 must have shape (d_h,), got (2, 3)"),
     ([(np.zeros(3), [[0]]), (np.zeros(3), [[1]]), (np.zeros(4), [[2]])], IncompatibleShapeError,
-     "corpus key 2 has length 4, key 0 has 3"),
+     "corpus key 2 must have shape (3,), got (4,)"),
     ([(np.zeros(3), [[0]]), (np.zeros(3), [1, 2])], IncompatibleShapeError,
      "corpus token segment 1 has shape (2,); it must be 2-D with >= 1 row"),
     ([(np.zeros(3), np.zeros((0, 2), dtype=np.int64))], IncompatibleShapeError,
@@ -385,16 +385,17 @@ def test_hierarchical_ce_rejects_unnormalized(rng):
         streamsim.hierarchical_ce(dists, targets)
 
 
-@pytest.mark.parametrize("dists, target", [
-    ([[[math.nan, 0.5]]], 0),  # returned nan
-    ([[[-0.5, 1.5]]], 0),  # returned nan with a RuntimeWarning
-    ([[[1.5, -0.5]]], 0),  # returned a cross-entropy of -0.405
-    ([[[math.inf, -math.inf]]], 0),  # the row sums to nan, which passed the sum check
-])
-def test_hierarchical_ce_rejects_values_that_are_not_probabilities(dists, target):
+@pytest.mark.parametrize("dists, target, message", [
+    ([[[math.nan, 0.5]]], 0, "pred_dists contains non-finite values"),  # returned nan
+    ([[[-0.5, 1.5]]], 0, "pred_dists must hold finite probabilities >= 0"),  # returned nan with a RuntimeWarning
+    ([[[1.5, -0.5]]], 0, "pred_dists must hold finite probabilities >= 0"),  # returned a cross-entropy of -0.405
+    ([[[math.inf, -math.inf]]], 0, "pred_dists contains non-finite values"),  # the row sum nan passed the sum check
+], ids=["dists0-0", "dists1-0", "dists2-0", "dists3-0"])  # the ids the cases had before they named a message
+def test_hierarchical_ce_rejects_values_that_are_not_probabilities(dists, target, message):
     targets = rvq.TokenSequence(np.array([[target]]), group_size=5, num_levels=1, codebook_size=2)
-    with pytest.raises(ValueError, match="pred_dists must hold finite probabilities >= 0"):
+    with pytest.raises(ValueError) as exc:
         streamsim.hierarchical_ce(np.array(dists), targets)
+    assert str(exc.value) == message
 
 
 def test_hierarchical_ce_zero_probability_is_inf():
