@@ -194,12 +194,7 @@ def _add_settings(parser, section):
 
 
 def cmd_gen_data(args, config) -> Outcome:
-    settings = _settings(args, config, "synth")
-    if settings["duration_frames"] < 1:
-        raise UsageError(f"{_flag('duration_frames')} must be >= 1, got {settings['duration_frames']}")
-    if settings["num_vertices"] < synth.MIN_VERTICES:
-        raise UsageError(f"{_flag('num_vertices')} must be >= {synth.MIN_VERTICES}, got {settings['num_vertices']}")
-    scfg = synth.SynthConfig(**settings)
+    scfg = synth.SynthConfig(**_settings(args, config, "synth"))
     out = _out_dir(args)
     model_path = out / "model.json"
     motion_path = out / "motion.a2mo"

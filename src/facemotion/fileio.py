@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import losses, metrics, motion_core, rvq, streamsim
+from . import __version__, losses, metrics, motion_core, rvq, streamsim
 from .errors import FaceMotionError, FormatError, IncompatibleShapeError
 
 MOTION_MAGIC = b"A2MO"
@@ -349,28 +349,6 @@ def save_event_log(path: _PathLike, log: streamsim.StreamEventLog) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_event_log(path: _PathLike) -> streamsim.StreamEventLog:
-    log = streamsim.StreamEventLog()
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(maxsplit=2)
-        if len(parts) < 2:
-            raise FormatError(f"{path}:{line_no}: expected '<timestamp_ms> <kind> [payload]'")
-        try:
-            ts = float(parts[0])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{line_no}: bad timestamp {parts[0]!r}") from exc
-        if parts[1] not in streamsim.EVENT_KINDS:
-            raise FormatError(f"{path}:{line_no}: unknown event kind {parts[1]!r}")
-        try:
-            log.append(ts, parts[1], parts[2] if len(parts) == 3 else "")
-        except Exception as exc:
-            raise FormatError(f"{path}:{line_no}: {exc}") from exc
-    return log
-
-
 # ---------------------------------------------------------------------------
 # Reports and manifests (structured JSON text)
 
@@ -403,7 +381,7 @@ def save_manifest(
 ) -> None:
     doc = {
         "manifest": 1,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "command": command,
         "seed": seed,
         "inputs": dict(inputs),
@@ -413,9 +391,3 @@ def save_manifest(
     if results is not None:
         doc["results"] = results
     write_json(path, doc)
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__

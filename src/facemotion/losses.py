@@ -128,7 +128,7 @@ def total_losses(
     commitment weight (``QuantizerConfig.gamma``).
     """
     w = weights or LossWeights()
-    check_pair(m, m_hat, min_len=3)
+    check_pair(m, m_hat)
     l_param = float(np.mean((m.params - m_hat.params) ** 2))
     v = forward_batch(model, m.params, zero_posed=True)
     v_hat = forward_batch(model, m_hat.params, zero_posed=True)

@@ -225,7 +225,7 @@ def full_report(
     """All seven metrics on an aligned prediction/reference pair (see ``check_pair``),
     timed at the pair's fps."""
     cfg = cfg or MetricsConfig()
-    check_pair(pred, gt, min_len=3)
+    check_pair(pred, gt)
     # one zero-posed render per sequence: the mouth landmarks, plus the
     # upper_face region for pred
     idx = _scored_vertices(model)
@@ -244,12 +244,12 @@ def compare(
     each candidate c, in order. The reference is rendered once; the
     candidates are consumed one at a time."""
     cfg = cfg or MetricsConfig()
-    check_pair(reference, reference, min_len=3)  # refuse a reference no pair can score before rendering it
+    check_pair(reference, reference)  # refuse a reference no pair can score before rendering it
     idx = _scored_vertices(model)
     v_ref = forward_batch(model, reference.params, zero_posed=True, vertices=idx)
     reports = []
     for pred in candidates:
-        check_pair(pred, reference, min_len=3)
+        check_pair(pred, reference)
         v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=idx)
         reports.append(_report(model, idx, v_pred, v_ref, reference.fps, cfg))
     return _ufd(model, v_ref, idx), reports

@@ -152,14 +152,14 @@ class MotionSequence:
         return self.params.shape[0]
 
 
-def check_pair(m: MotionSequence, m_hat: MotionSequence, min_len: int = 1) -> None:
-    """Reject a pair of sequences whose lengths or fps differ, or that is shorter than ``min_len`` frames."""
+def check_pair(m: MotionSequence, m_hat: MotionSequence) -> None:
+    """Reject a pair of sequences whose lengths or fps differ, or that is shorter than 3 frames."""
     if len(m) != len(m_hat):
         raise IncompatibleShapeError(f"sequence lengths differ: {len(m)} vs {len(m_hat)}")
     if m.fps != m_hat.fps:
         raise IncompatibleShapeError(f"sequence fps differ: {m.fps} vs {m_hat.fps}")
-    if len(m) < min_len:
-        raise ValueError(f"sequences too short: need at least {min_len} frames, got {len(m)}")
+    if len(m) < 3:
+        raise ValueError(f"sequences too short: need at least 3 frames, got {len(m)}")
 
 
 @dataclass

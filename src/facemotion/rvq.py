@@ -115,8 +115,8 @@ class TokenSequence:
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.group_size < 1 or self.num_levels < 1 or self.codebook_size < 1:
-            raise ValueError("token config echo values must be positive")
+        for name in ("group_size", "num_levels", "codebook_size"):
+            count_at_least(getattr(self, name), name)
         if self.indices.ndim != 2 or self.indices.shape[1] != self.num_levels:
             raise IncompatibleShapeError(
                 f"token grid must have shape (L, {self.num_levels}), got {self.indices.shape}"

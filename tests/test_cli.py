@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,17 +50,17 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_gen_data_zero_frames_is_usage_error(tmp_path):
+def test_gen_data_zero_frames_is_refused_by_the_count_rule(tmp_path, capsys):
     out = tmp_path / "bad"
-    assert run("gen-data", "--out", out, "--frames", 0) == 2
-    assert not (out / "model.json").exists()
-    assert not (out / "motion.a2mo").exists()
+    assert run("gen-data", "--out", out, "--frames", 0) == 4
+    assert "duration_frames must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_vertex_minimum(tmp_path, capsys):
-    assert run("gen-data", "--out", tmp_path / "16", "--frames", 5, "--vertices", 16) == 2
-    assert "--vertices must be >= 17, got 16" in capsys.readouterr().err
-    assert not (tmp_path / "16" / "model.json").exists()
+    assert run("gen-data", "--out", tmp_path / "16", "--frames", 5, "--vertices", 16) == 4
+    assert "num_vertices must be >= 17, got 16" in capsys.readouterr().err
+    assert not (tmp_path / "16").exists()
     out = tmp_path / "17"
     assert run("gen-data", "--out", out, "--frames", 5, "--vertices", 17) == 0
     assert fileio.load_model(out / "model.json").num_vertices == 17
@@ -459,9 +460,12 @@ def test_simulate_stream_hold_last(tmp_path):
     doc = fileio.read_json(res / "latency_report.json")
     assert doc["content_duration_ms"] == 2000.0
     assert doc["ttfa_ms"] >= doc["ttft_ms"] >= 0
-    log = fileio.load_event_log(res / "events.log")
-    assert log.events[0].kind == "input_end"
-    assert log.events[-1].kind == "stream_done"
+    events = [line.split(maxsplit=2) for line in (res / "events.log").read_text().splitlines()]
+    times = [float(event[0]) for event in events]
+    assert times == sorted(times) and all(math.isfinite(t) for t in times)
+    assert all(event[1] in streamsim.EVENT_KINDS for event in events)
+    assert events[0][1] == "input_end"
+    assert events[-1][1] == "stream_done"
 
 
 def test_simulate_stream_oracle_matches_offline_decode(tmp_path):

@@ -122,8 +122,7 @@ def test_csv_rejects_bad_values(tmp_path, edit):
         fileio.load_motion_csv(path)
 
 
-@pytest.mark.parametrize("load", [fileio.load_motion_csv, fileio.load_model, fileio.load_event_log,
-                                  fileio.read_json])
+@pytest.mark.parametrize("load", [fileio.load_motion_csv, fileio.load_model, fileio.read_json])
 def test_text_loaders_reject_non_utf8(tmp_path, load):
     path = tmp_path / "latin1.txt"
     path.write_bytes("# fps=25 \u00e9\n".encode("latin-1"))
@@ -356,49 +355,6 @@ def test_sequences_hold_the_fps_their_files_hold(tmp_path, fps):
 
 
 # ---------------------------------------------------------------------------
-# event logs
-
-
-def test_event_log_round_trip(tmp_path):
-    log = streamsim.StreamEventLog()
-    log.append(0.0, "input_end")
-    log.append(12.5, "first_audio_token")
-    log.append(100.125, "segment_done", "segment=0")
-    log.append(250.0, "stream_done", "content_ms=1000.0")
-    path = tmp_path / "events.log"
-    fileio.save_event_log(path, log)
-    loaded = fileio.load_event_log(path)
-    assert [(e.timestamp_ms, e.kind, e.payload) for e in loaded.events] == [
-        (e.timestamp_ms, e.kind, e.payload) for e in log.events
-    ]
-
-
-def test_event_log_rejects_unknown_kind(tmp_path):
-    path = tmp_path / "events.log"
-    path.write_text("0.0 input_end\n5.0 mystery_event\n")
-    with pytest.raises(FormatError):
-        fileio.load_event_log(path)
-
-
-def test_event_log_rejects_bad_timestamp(tmp_path):
-    path = tmp_path / "events.log"
-    path.write_text("zero input_end\n")
-    with pytest.raises(FormatError):
-        fileio.load_event_log(path)
-
-
-@pytest.mark.parametrize("timestamp", ["nan", "inf", "-inf"])
-def test_event_log_rejects_non_finite_timestamp(tmp_path, timestamp):
-    path = tmp_path / "events.log"
-    path.write_text(f"0.0 input_end\n{timestamp} first_text_token\n")
-    with pytest.raises(FormatError, match="finite"):
-        fileio.load_event_log(path)
-    path.write_text(f"{timestamp} input_end\n")
-    with pytest.raises(FormatError, match="finite"):
-        fileio.load_event_log(path)
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
@@ -516,7 +472,8 @@ def test_binary_header_layout(tmp_path, kind):
         ("a2fe", lambda b: _patch(b, 24, "<f", NAN), "non-finite"),
         ("a2fe", lambda b: _patch(_patch(b, 12, "<I", 2**32 - 1), 16, "<I", 0)[:20], "column"),
         ("a2tk", lambda b: b + bytes(2), "trailing"),
-        ("a2tk", lambda b: _patch(b, 16, "<I", 0), "positive"),
+        pytest.param("a2tk", lambda b: _patch(b, 16, "<I", 0), "codebook_size must be >= 1, got 0",
+                     id="a2tk-<lambda>-positive"),  # the id the case had before it named the count rule
         ("a2tk", lambda b: _patch(b, 20, "<H", 2), r"\[0, 2\)"),
         ("a2cb", lambda b: b + b"\x00", "trailing"),
         ("a2cb", lambda b: _patch(b, 12, "<I", 0), "codebook_size must be >= 1, got 0"),

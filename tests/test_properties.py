@@ -1,20 +1,25 @@
 """Property tests (hypothesis) for the batched forward model, the streamed
 loss terms, peak picking, the nearest-codeword search, k-means++ seeding,
 Lloyd refinement against a Lloyd that rescores every step, the stream's
-retrieval predictor and the binary and text loaders."""
+retrieval predictor, the binary and text loaders, and the exit codes of
+``cli.main``."""
 
+import contextlib
+import io
 import json
-import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import fileio, losses, metrics, rvq, streamsim  # noqa: E402
+from facemotion import cli, fileio, losses, metrics, rvq, streamsim  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 from facemotion.errors import FormatError  # noqa: E402
 from test_fileio import LOADERS, _valid_blob, _valid_csv_lines, _valid_model_doc  # noqa: E402
@@ -315,34 +320,26 @@ def _replace_in_model(doc, path, value):
     parent[key] = value
 
 
-def _replace_cell(lines, path, value, sep):
+def _replace_cell(lines, path, value):
     row = path[0] % len(lines)
-    cells = lines[row].split(sep)
+    cells = lines[row].split(",")
     cells[path[-1] % len(cells)] = value if isinstance(value, str) else json.dumps(value)
-    lines[row] = sep.join(cells)
+    lines[row] = ",".join(cells)
 
 
 @pytest.fixture(scope="session")
 def valid_text(tmp_path_factory):
     base = tmp_path_factory.mktemp("valid_text")
-    log = streamsim.StreamEventLog()
-    for ts, kind, payload in ((0.0, "input_end", ""), (10.0, "first_text_token", ""), (50.0, "first_audio_token", ""),
-                              (150.0, "first_motion_frame", ""), (150.0, "segment_done", "segment=0"),
-                              (150.0, "stream_done", "content_ms=200.0")):
-        log.append(ts, kind, payload)
-    fileio.save_event_log(base / "valid.log", log)
-    return {"model": json.dumps(_valid_model_doc(base)), "csv": _valid_csv_lines(base),
-            "events": (base / "valid.log").read_text().splitlines()}
+    return {"model": json.dumps(_valid_model_doc(base)), "csv": _valid_csv_lines(base)}
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["model", "csv", "events"]),
+    kind=st.sampled_from(["model", "csv"]),
     edits=st.lists(st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), JSON_VALUES), max_size=2),
     writes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
     cut=st.integers(0, 10**6),
 )
-@example(kind="events", edits=[([1, 0], float("nan"))], writes=[], cut=0)
 def test_corrupted_text_files_load_or_raise_format_error(tmp_path_factory, valid_text, kind, edits, writes, cut):
     if kind == "model":
         doc = json.loads(valid_text["model"])
@@ -352,17 +349,92 @@ def test_corrupted_text_files_load_or_raise_format_error(tmp_path_factory, valid
     else:
         lines = list(valid_text[kind])
         for path, value in edits:
-            _replace_cell(lines, path, value, "," if kind == "csv" else " ")
+            _replace_cell(lines, path, value)
         text = "\n".join(lines) + "\n"
-        load = fileio.load_motion_csv if kind == "csv" else fileio.load_event_log
+        load = fileio.load_motion_csv
     blob = bytearray(text.encode("utf-8"))
     for offset, value in writes:
         blob[offset % len(blob)] = value
     path = tmp_path_factory.getbasetemp() / f"corrupt.{kind}"
     path.write_bytes(bytes(blob[: len(blob) - cut % 9]))
     try:
-        loaded = load(path)
+        load(path)
     except FormatError:
-        return
-    if kind == "events":
-        assert all(math.isfinite(e.timestamp_ms) for e in loaded.events)
+        pass
+
+
+# Each case: its argv before --out, naming input files by their name in CLI_INPUTS, and the
+# count flags it sets, each with the range of values it takes, which reaches below the flag's minimum.
+CLI_CASES = {
+    "gen-data": (["gen-data"], {"--frames": (-1, 3), "--vertices": (15, 18)}),
+    "fit-codec": (["fit-codec", "--motion", "motion.a2mo"],
+                  {"--levels": (-1, 2), "--codebook-size": (-1, 5), "--group-size": (-1, 6), "--latent-dim": (-1, 9)}),
+    "encode": (["encode", "--codebook", "codebook.a2cb", "--motion", "motion.a2mo"], {}),
+    "decode": (["decode", "--codebook", "codebook.a2cb", "--tokens", "tokens.a2tk"], {"--frames": (-1, 3)}),
+    "eval-recon": (["eval-recon", "--model", "model.json", "--gt", "motion.a2mo", "--pred", "motion.a2mo",
+                    "--codebook", "codebook.a2cb"], {}),
+    "eval-metrics": (["eval-metrics", "--model", "model.json", "--gt", "motion.a2mo", "--pred", "motion.a2mo"],
+                     {"--peak-distance": (-1, 2)}),
+    "compare": (["compare", "--model", "model.json", "--reference", "motion.a2mo", "--candidate", "motion.a2mo"],
+                {"--peak-distance": (-1, 2)}),
+    "oracle": (["simulate-stream", "--predictor", "oracle", "--features", "features.a2fe",
+                "--codebook", "codebook.a2cb", "--gt-tokens", "tokens.a2tk"], {"--segment-tokens": (-1, 2)}),
+    "retrieval": (["simulate-stream", "--predictor", "retrieval", "--features", "features.a2fe",
+                   "--codebook", "codebook.a2cb", "--corpus-features", "features.a2fe",
+                   "--corpus-tokens", "tokens.a2tk"], {"--segment-tokens": (-1, 2)}),
+}
+
+
+CLI_INPUTS = ("model.json", "motion.a2mo", "codebook.a2cb", "tokens.a2tk", "features.a2fe")
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The directory that holds a valid file of each name in CLI_INPUTS."""
+    base = tmp_path_factory.mktemp("valid_inputs")
+    motion, codebook = str(base / "motion.a2mo"), str(base / "codebook.a2cb")
+    for argv in (["gen-data", "--frames", "20", "--vertices", "24"],
+                 ["fit-codec", "--motion", motion, "--levels", "2", "--codebook-size", "4", "--latent-dim", "8"],
+                 ["encode", "--codebook", codebook, "--motion", motion]):
+        assert cli.main(argv + ["--out", str(base), "--quiet"]) == 0
+    rng = np.random.Generator(np.random.PCG64(7))
+    fileio.save_features(base / "features.a2fe", streamsim.AudioFeatureSequence(rng.standard_normal((20, 4))))
+    return base
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(counts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4), target=st.none() | st.integers(0, 5),
+       writes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
+       keep=st.none() | st.integers(-12, 40) | st.integers(0, 10**6))
+def test_cli_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(cli_inputs, case, counts, target, writes, keep):
+    argv, flags = CLI_CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = sorted({a for a in argv if a in CLI_INPUTS})
+        for name in inputs:
+            (tmp / name).write_bytes((cli_inputs / name).read_bytes())
+        if inputs and target is not None:  # mutate one input file: overwrite bytes, then keep a prefix
+            name = inputs[target % len(inputs)]
+            blob = bytearray((cli_inputs / name).read_bytes())
+            for offset, value in writes:
+                blob[offset % len(blob)] = value
+            (tmp / name).write_bytes(bytes(blob[:keep]))
+        out = tmp / "out"
+        full = [str(tmp / a) if a in CLI_INPUTS else a for a in argv] + ["--out", str(out), "--quiet"]
+        for (flag, (low, high)), count in zip(flags.items(), counts):
+            full += [flag, str(low + count % (high - low + 1))]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(full)
+            except SystemExit as exc:  # the parser's usage errors
+                code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (out / f"{argv[0]}.manifest.json").exists()
+        else:
+            assert not out.exists() or not any(out.iterdir())

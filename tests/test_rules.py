@@ -87,6 +87,9 @@ COUNTS = {
     "SynthConfig.num_vertices": ("num_vertices", synth.MIN_VERTICES, lambda v: synth.SynthConfig(num_vertices=v)),
     "MetricsConfig.peak_min_distance": ("peak_min_distance", 1, lambda v: metrics.MetricsConfig(peak_min_distance=v)),
     "segment_tokens": ("segment_tokens", 1, _retrieval_corpus),
+    **{f"TokenSequence.{name}": (name, 1, lambda v, name=name: rvq.TokenSequence(
+        np.zeros((1, 1), dtype=np.int64), **{"group_size": 5, "num_levels": 1, "codebook_size": 2, name: v}))
+       for name in ("group_size", "num_levels", "codebook_size")},
 }
 
 
