@@ -203,7 +203,7 @@ def cmd_gen_data(args, config) -> Outcome:
     return Outcome(
         f"wrote {model_path} and {motion_path}",
         outputs={"model": model_path, "motion": motion_path},
-        config={"synth": scfg.__dict__},
+        config={"synth": dataclasses.asdict(scfg)},
         seed=scfg.seed,
     )
 
@@ -238,7 +238,7 @@ def cmd_fit_codec(args, config) -> Outcome:
     return Outcome(
         f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})",
         outputs={"codebook": cb_path},
-        config={"quantizer": qcfg.__dict__},
+        config={"quantizer": dataclasses.asdict(qcfg)},
         seed=qcfg.seed,
         results={
             "residual_norms": [float(v) for v in level_norms],
@@ -316,7 +316,7 @@ def cmd_eval_recon(args, config) -> Outcome:
     return Outcome(
         f"wrote {report_path} (l_rec={report.l_rec:.6g})",
         outputs={"loss_report": report_path},
-        config={"weights": weights.to_dict()},
+        config={"weights": dataclasses.asdict(weights)},
     )
 
 
@@ -362,16 +362,13 @@ def cmd_compare(args, config) -> Outcome:
     candidates = (_load_motion_any(path) for path in args.candidate)
     ref_ufd, reports = metrics.compare(model, reference, candidates, mcfg)
 
-    rankings = {}
+    values = {name: rep.to_dict()["values"] for name, rep in zip(names, reports)}
     targets = dict(_METRIC_TARGETS, ufd=ref_ufd)
-    for metric_name, target in sorted(targets.items()):
-        scored = []
-        for name, rep in zip(names, reports):
-            value = rep.to_dict()["values"][metric_name]
-            if value is not None:
-                scored.append((abs(value - target), name))
-        scored.sort(key=lambda pair: (pair[0], names.index(pair[1])))
-        rankings[metric_name] = [name for _, name in scored]
+    rankings = {}
+    for metric_name, target in targets.items():
+        # a stable sort: equal distances keep the command-line order
+        defined = [name for name in names if values[name][metric_name] is not None]
+        rankings[metric_name] = sorted(defined, key=lambda name: abs(values[name][metric_name] - target))
 
     out = _out_dir(args)
     report_paths = {}
@@ -383,9 +380,7 @@ def cmd_compare(args, config) -> Outcome:
         "report": "comparison",
         "reference": str(args.reference),
         "reference_ufd": ref_ufd,
-        "candidates": {
-            name: rep.to_dict()["values"] for name, rep in zip(names, reports)
-        },
+        "candidates": values,
         "undefined": {name: rep.undefined for name, rep in zip(names, reports)},
         "targets": targets,
         "rankings": rankings,
@@ -453,7 +448,7 @@ def cmd_simulate_stream(args, config) -> Outcome:
             "stream": {
                 "predictor": args.predictor,
                 "segment_tokens": segment_tokens,
-                "timing": timing.__dict__,
+                "timing": dataclasses.asdict(timing),
             },
         },
         seed=seed if args.predictor == "uniform" else None,
@@ -532,15 +527,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         done = args.func(args, _load_config(args.config))
-        fileio.save_manifest(
-            Path(args.out) / f"{args.command}.manifest.json",
-            command=args.command,
-            seed=done.seed,
-            inputs=_inputs(args),
-            outputs={name: str(path) for name, path in done.outputs.items()},
-            config=done.config,
-            results=done.results,
-        )
+        manifest = {
+            "manifest": 1,
+            "tool_version": __version__,
+            "command": args.command,
+            "seed": done.seed,
+            "inputs": _inputs(args),
+            "outputs": {name: str(path) for name, path in done.outputs.items()},
+            "config": done.config,
+        }
+        if done.results is not None:
+            manifest["results"] = done.results
+        fileio.write_json(Path(args.out) / f"{args.command}.manifest.json", manifest)
         if not args.quiet:
             print(done.message)
         return EXIT_OK

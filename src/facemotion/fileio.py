@@ -24,12 +24,13 @@ import json
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from . import __version__, losses, metrics, motion_core, rvq, streamsim
+from . import losses, metrics, motion_core, rvq, streamsim
 from .errors import FaceMotionError, FormatError, IncompatibleShapeError
 
 MOTION_MAGIC = b"A2MO"
@@ -144,12 +145,9 @@ def _save_rows(path: _PathLike, magic: bytes, fields: _Fields, fps: float, rows:
     _write_container(path, magic, fields, (fps, *rows.shape), rows.astype("<f4").tobytes())
 
 
-def _load_rows(path: _PathLike, magic: bytes, kind: str, fields: _Fields, make, rows_what: str,
-               dim: Optional[int] = None):
-    """make(rows, fps=fps) from _save_rows' layout; rows_what names the rows in errors, dim fixes the width."""
+def _load_rows(path: _PathLike, magic: bytes, kind: str, fields: _Fields, make, rows_what: str):
+    """make(rows, fps=fps) from _save_rows' layout; rows_what names the rows in errors, make checks the width."""
     with _container(path, magic, kind, fields) as (fh, (fps, count, width)):
-        if dim is not None and width != dim:
-            raise FormatError(f"frame dim must be {dim}, got {width}")
         return make(_read_f32_array(fh, count * width, rows_what).reshape(count, width), fps=fps)
 
 
@@ -159,8 +157,7 @@ def save_motion(path: _PathLike, m: motion_core.MotionSequence) -> None:
 
 
 def load_motion(path: _PathLike) -> motion_core.MotionSequence:
-    return _load_rows(path, MOTION_MAGIC, "motion", _MOTION_FIELDS, motion_core.MotionSequence, "frames",
-                      dim=motion_core.FRAME_DIM)
+    return _load_rows(path, MOTION_MAGIC, "motion", _MOTION_FIELDS, motion_core.MotionSequence, "frames")
 
 
 def save_features(path: _PathLike, h: streamsim.AudioFeatureSequence) -> None:
@@ -367,27 +364,4 @@ def save_metrics_report(path: _PathLike, report: metrics.MetricsReport) -> None:
 
 
 def save_latency_report(path: _PathLike, report: streamsim.LatencyReport) -> None:
-    write_json(path, {"report": "latency", **report.to_dict()})
-
-
-def save_manifest(
-    path: _PathLike,
-    command: str,
-    seed: Optional[int],
-    inputs: Dict[str, str],
-    outputs: Dict[str, str],
-    config: dict,
-    results: Optional[dict] = None,
-) -> None:
-    doc = {
-        "manifest": 1,
-        "tool_version": __version__,
-        "command": command,
-        "seed": seed,
-        "inputs": dict(inputs),
-        "outputs": dict(outputs),
-        "config": config,
-    }
-    if results is not None:
-        doc["results"] = results
-    write_json(path, doc)
+    write_json(path, {"report": "latency", **asdict(report)})

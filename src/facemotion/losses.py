@@ -55,9 +55,6 @@ class LossWeights:
         for name in ("w_param", "w_geo", "w_dyn", "lambda_vq"):
             nonnegative_finite(getattr(self, name), name)
 
-    def to_dict(self) -> Dict[str, float]:
-        return asdict(self)
-
 
 @dataclass
 class LossReport:

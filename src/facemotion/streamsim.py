@@ -11,7 +11,7 @@ never from wall clocks, so they are deterministic under test.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,8 +158,6 @@ def step(
 ) -> Tuple[TokenSequence, MotionSequence, SegmentState]:
     """Run one segment: predict tokens from (features, history), decode motion."""
     cfg = state.cfg
-    if len(segment_features) == 0:
-        raise ValueError("segment has no feature frames")
     g = cfg.group_size
     n_tokens = math.ceil(len(segment_features) / g)
     pooled = downsample_features(segment_features, g)
@@ -211,9 +209,6 @@ class LatencyReport:
     rtf: float
     content_duration_ms: float
     generation_time_ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def latency_report(log: StreamEventLog) -> LatencyReport:

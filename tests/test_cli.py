@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import facemotion
 from facemotion import cli, fileio, rvq, streamsim
 from facemotion.motion_core import MotionSequence
 
@@ -418,8 +419,8 @@ def test_compare_makes_colliding_candidate_names_unique(tmp_path):
     assert sorted(doc["candidates"]) == ["x", "x_2", "x_2_2"]
     assert sorted(p.name for p in res.glob("metrics_*.json")) == ["metrics_x.json", "metrics_x_2.json",
                                                                  "metrics_x_2_2.json"]
-    for ranking in doc["rankings"].values():
-        assert sorted(ranking) == ["x", "x_2", "x_2_2"]
+    for ranking in doc["rankings"].values():  # every metric ties, so each ranking keeps the command-line order
+        assert ranking == ["x_2", "x", "x_2_2"]
 
 
 def test_compare_candidate_named_comparison_keeps_both_outputs(tmp_path):
@@ -640,6 +641,22 @@ def test_manifest_names_the_command_and_the_input_files_given(tmp_path, files, a
     manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
     assert manifest["command"] == argv[0]
     assert manifest["inputs"] == {name: str(files[file]) for name, file in inputs.items()}
+
+
+MANIFEST_KEYS = {"manifest", "tool_version", "command", "seed", "inputs", "outputs", "config"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen-data", "--frames", 5, "--vertices", 17], MANIFEST_KEYS),
+    (["encode", "--codebook", "codebook", "--motion", "motion"], MANIFEST_KEYS | {"results"}),
+], ids=["gen-data", "encode"])
+def test_manifest_holds_exactly_the_schema_keys_and_the_tool_version(tmp_path, files, argv, keys):
+    out = tmp_path / "out"
+    assert run(*[files.get(arg, arg) for arg in argv], "--out", out) == 0
+    manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+    assert set(manifest) == keys
+    assert manifest["manifest"] == 1
+    assert manifest["tool_version"] == facemotion.__version__
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,18 @@ def test_uniform_predictor_is_seeded(rng):
     assert t1.indices.min() >= 0 and t1.indices.max() < 8
 
 
+@pytest.mark.parametrize("spec", [
+    streamsim.PredictorSpec("hold_last"),
+    streamsim.PredictorSpec("uniform", seed=7),
+    streamsim.PredictorSpec("oracle", gt_tokens=rvq.TokenSequence(np.zeros((3, 2), dtype=np.int64), 5, 2, 8)),
+    streamsim.PredictorSpec("retrieval", corpus=[(np.zeros(6), np.zeros((3, 2), dtype=np.int64))]),
+], ids=lambda spec: spec.kind)
+def test_step_refuses_an_empty_segment(rng, spec):
+    cfg, proj, cb = codec(rng)
+    with pytest.raises(ValueError, match="cannot window an empty sequence"):
+        streamsim.step(streamsim.initial_state(cfg, segment_tokens=3), features(rng, t=0), spec, cb, proj)
+
+
 def test_step_markov_history_only(rng):
     """Replaying any segment with just the previous segment's tokens
     reproduces the sequential stream output exactly."""
