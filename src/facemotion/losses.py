@@ -129,8 +129,8 @@ def total_losses(
     l_param = float(np.mean((m.params - m_hat.params) ** 2))
     v = forward_batch(model, m.params, zero_posed=True)
     v_hat = forward_batch(model, m_hat.params, zero_posed=True)
-    l_lips = _region_mse(v, v_hat, model.region("lips"))
-    l_face = _region_mse(v, v_hat, model.region("face"))
+    l_lips = _region_mse(v, v_hat, model.regions["lips"])
+    l_face = _region_mse(v, v_hat, model.regions["face"])
     l_vel, l_acc = _dyn_terms(v, v_hat)
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:

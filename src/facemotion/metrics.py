@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import IncompatibleShapeError, ModelConfigError
+from .errors import IncompatibleShapeError
 from .motion_core import (
     LANDMARK_NAMES,
     BlendshapeModel,
@@ -64,11 +64,8 @@ class MetricsReport:
 
 def _scored_vertices(model: BlendshapeModel) -> np.ndarray:
     """The mouth landmarks in LANDMARK_NAMES order, then the upper_face region."""
-    landmarks = [model.landmark(name) for name in LANDMARK_NAMES]
-    upper = model.region("upper_face")
-    if upper.size == 0:
-        raise ModelConfigError("upper_face region is empty")
-    return np.concatenate([landmarks, upper])
+    landmarks = [model.landmarks[name] for name in LANDMARK_NAMES]
+    return np.concatenate([landmarks, model.regions["upper_face"]])
 
 
 def _ufd(model: BlendshapeModel, v: np.ndarray, idx: np.ndarray) -> float:

@@ -32,7 +32,7 @@ a (T, 58) array and vertices a (T, N', 3) array; one frame is a 1-row call.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -58,6 +58,7 @@ CHANNEL_NAMES: List[str] = (
 )
 
 LANDMARK_NAMES = ("upper_lip", "lower_lip", "left_corner", "right_corner")
+REGION_NAMES = ("lips", "face", "upper_face")
 
 # Frames per forward_batch block, and per step of the losses' squared
 # differences: large enough that the per-block numpy calls cost little, small
@@ -113,6 +114,17 @@ def finite_array(value, name: str, shape) -> np.ndarray:
     return arr
 
 
+def _vertex_indices(value, name: str, n: int) -> np.ndarray:
+    """The vertex-index rule: ``value`` as a 1-D intp array whose every entry is in [0, n).
+    IncompatibleShapeError or ModelConfigError naming ``name`` otherwise."""
+    idx = np.asarray(value, dtype=np.intp)
+    if idx.ndim != 1:
+        raise IncompatibleShapeError(f"{name} must be a 1-D array of vertex indices, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ModelConfigError(f"{name} indices out of range for {n} vertices")
+    return idx
+
+
 def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
     """Rotation matrices for axis-angle vectors of shape (..., 3) via the
     Rodrigues formula; the result has shape (..., 3, 3).
@@ -166,10 +178,11 @@ def check_pair(m: MotionSequence, m_hat: MotionSequence) -> None:
 class BlendshapeModel:
     """Template mesh, blendshape bases, jaw hinge and named vertex sets.
 
-    ``regions`` must provide ``lips``, ``face`` and ``upper_face`` index sets
-    with lips a subset of face and upper_face disjoint from lips.
-    ``landmarks`` must provide ``upper_lip``, ``lower_lip``, ``left_corner``
-    and ``right_corner`` vertex indices.
+    ``regions`` maps names to vertex index arrays and must hold non-empty
+    ``lips``, ``face`` and ``upper_face`` sets, with lips a subset of face and
+    upper_face disjoint from lips. ``landmarks`` maps names to vertex indices
+    and must hold every name in ``LANDMARK_NAMES``. Further sets are allowed.
+    Every index passes ``_vertex_indices`` when the model is built.
     """
 
     template: np.ndarray
@@ -177,8 +190,8 @@ class BlendshapeModel:
     eyelid_basis: np.ndarray
     jaw_joint: np.ndarray
     jaw_region: np.ndarray
-    regions: Dict[str, np.ndarray] = field(default_factory=dict)
-    landmarks: Dict[str, int] = field(default_factory=dict)
+    regions: Dict[str, np.ndarray]
+    landmarks: Dict[str, int]
 
     def __post_init__(self):
         self.template = finite_array(self.template, "template", ("N", 3))
@@ -186,42 +199,25 @@ class BlendshapeModel:
         self.expr_basis = finite_array(self.expr_basis, "expr_basis", (n, 3, EXPRESSION_DIM))
         self.eyelid_basis = finite_array(self.eyelid_basis, "eyelid_basis", (n, 3, EYELID_DIM))
         self.jaw_joint = finite_array(self.jaw_joint, "jaw_joint", (3,))
-        self.jaw_region = np.asarray(self.jaw_region, dtype=np.intp)
-        self.regions = {k: np.asarray(v, dtype=np.intp) for k, v in self.regions.items()}
-        self.landmarks = {k: int(v) for k, v in self.landmarks.items()}
-        self._validate_indices(n)
-
-    def _validate_indices(self, n: int) -> None:
-        def check(idx, name):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ModelConfigError(f"{name} indices out of range for {n} vertices")
-
-        check(self.jaw_region, "jaw_region")
-        for name, idx in self.regions.items():
-            check(idx, f"region '{name}'")
-        for name, i in self.landmarks.items():
-            if i < 0 or i >= n:
-                raise ModelConfigError(f"landmark '{name}' index {i} out of range for {n} vertices")
-        if "lips" in self.regions and "face" in self.regions:
-            if not set(self.regions["lips"]) <= set(self.regions["face"]):
-                raise ModelConfigError("lips region must be a subset of face region")
-        if "lips" in self.regions and "upper_face" in self.regions:
-            if set(self.regions["lips"]) & set(self.regions["upper_face"]):
-                raise ModelConfigError("upper_face region must be disjoint from lips")
+        self.jaw_region = _vertex_indices(self.jaw_region, "jaw_region", n)
+        self.regions = {k: _vertex_indices(v, f"region '{k}'", n) for k, v in self.regions.items()}
+        self.landmarks = {k: int(_vertex_indices([v], f"landmark '{k}'", n)[0]) for k, v in self.landmarks.items()}
+        for kind, names, sets in (("region", REGION_NAMES, self.regions), ("landmark", LANDMARK_NAMES, self.landmarks)):
+            for name in names:
+                if name not in sets:
+                    raise ModelConfigError(f"model has no {kind} '{name}'")
+        for name in REGION_NAMES:
+            if self.regions[name].size == 0:
+                raise ModelConfigError(f"region '{name}' is empty")
+        lips = self.regions["lips"]
+        if not np.all(np.isin(lips, self.regions["face"])):
+            raise ModelConfigError("lips region must be a subset of face region")
+        if np.any(np.isin(self.regions["upper_face"], lips)):
+            raise ModelConfigError("upper_face region must be disjoint from lips")
 
     @property
     def num_vertices(self) -> int:
         return self.template.shape[0]
-
-    def region(self, name: str) -> np.ndarray:
-        if name not in self.regions:
-            raise ModelConfigError(f"model has no region '{name}'")
-        return self.regions[name]
-
-    def landmark(self, name: str) -> int:
-        if name not in self.landmarks:
-            raise ModelConfigError(f"model has no landmark '{name}'")
-        return self.landmarks[name]
 
 
 def forward_batch(
@@ -250,13 +246,7 @@ def forward_batch(
     """
     p = finite_array(params, "params", ("T", FRAME_DIM))
     t, n = p.shape[0], model.num_vertices
-    out_idx = None
-    if vertices is not None:
-        out_idx = np.asarray(vertices, dtype=np.intp)
-        if out_idx.ndim != 1:
-            raise IncompatibleShapeError(f"vertices must be 1-D indices, got shape {out_idx.shape}")
-        if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n):
-            raise ModelConfigError(f"vertex indices out of range for {n} vertices")
+    out_idx = None if vertices is None else _vertex_indices(vertices, "vertices", n)
 
     out = np.empty((t, n if out_idx is None else out_idx.size, 3))
     block = min(t, _BLOCK_FRAMES)

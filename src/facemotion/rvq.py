@@ -379,8 +379,6 @@ def fit_projections(corpus: Sequence[MotionSequence], cfg: QuantizerConfig) -> W
         raise ValueError("corpus is empty")
     windows = np.vstack([flatten_windows(m.params, cfg.group_size) for m in corpus])
     wd = cfg.window_dim
-    if windows.shape[1] != wd:
-        raise IncompatibleShapeError("corpus window dim does not match config")
     d_z = cfg.latent_dim
 
     if d_z >= wd:

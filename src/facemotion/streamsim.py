@@ -235,8 +235,6 @@ def latency_report(log: StreamEventLog) -> LatencyReport:
     if content_ms is None or not 0 < content_ms < math.inf:
         raise StreamProtocolError("stream_done payload must carry content_ms=<positive finite value>")
     generation_ms = done.timestamp_ms - start.timestamp_ms
-    if generation_ms <= 0:
-        raise StreamProtocolError("stream_done must come strictly after input_end")
     if ttft is not None and ttfa is not None and ttfa < ttft:
         raise StreamProtocolError("first motion precedes first audio in the log")
     return LatencyReport(

@@ -307,6 +307,23 @@ def test_eval_recon_has_no_gamma_flag(capsys):
     assert "unrecognized arguments: --gamma 0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("eval-recon", ("--gt", "--pred")),
+    ("eval-metrics", ("--gt", "--pred")),
+    ("compare", ("--reference", "--candidate")),
+], ids=["eval-recon", "eval-metrics", "compare"])
+def test_model_with_an_empty_region_exits_3_and_writes_nothing(tmp_path, capsys, command, pair):
+    out = gen(tmp_path, frames=10)
+    doc = fileio.read_json(out / "model.json")
+    doc["regions"]["lips"] = []
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    assert run(command, "--out", res, "--model", bad, pair[0], out / "motion.a2mo", pair[1], out / "motion.a2mo") == 3
+    assert "region 'lips' is empty" in capsys.readouterr().err
+    assert not res.exists()
+
+
 def test_eval_recon_length_mismatch_exits_4(tmp_path):
     out = gen(tmp_path, frames=20)
     short = gen(tmp_path, "short", frames=10)
@@ -598,6 +615,14 @@ def test_simulate_stream_rejects_negative_delay_naming_it(tmp_path, capsys, file
     assert run("simulate-stream", "--out", tmp_path / "s", "--features", files["features"],
                "--codebook", files["codebook"], "--segment-ms", -5) == 4
     assert "segment_ms must be finite and >= 0, got -5.0" in capsys.readouterr().err
+
+
+def test_simulate_stream_with_zero_delays_reports_zero_latency(tmp_path, files):
+    out = tmp_path / "s"
+    assert run("simulate-stream", "--out", out, "--features", files["features"], "--codebook", files["codebook"],
+               "--text-ms", 0, "--audio-ms", 0, "--segment-ms", 0) == 0
+    report = fileio.read_json(out / "latency_report.json")
+    assert (report["rtf"], report["ttft_ms"], report["ttfa_ms"]) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,12 @@ def _set(doc, keys, value):
         (["template", 0, 0], True, "numbers"),
         (["jaw_region"], [True, 1], "integers"),
         (["eyelid_basis"], _DELETE, "missing model field 'eyelid_basis'"),
+        (["regions", "lips"], [], "region 'lips' is empty"),
+        (["regions", "lips"], 5, "region 'lips' must be a 1-D array"),
+        (["regions", "upper_face"], [[4]], "region 'upper_face' must be a 1-D array"),
+        (["jaw_region"], [[0]], "jaw_region must be a 1-D array"),
+        (["regions", "upper_face"], _DELETE, "model has no region 'upper_face'"),
+        (["landmarks", "upper_lip"], _DELETE, "model has no landmark 'upper_lip'"),
     ],
 )
 def test_model_rejects_malformed_fields(tmp_path, keys, value, message):

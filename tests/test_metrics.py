@@ -39,7 +39,7 @@ def opening_axis_model():
 
 def landmark_series(model, m, a="upper_lip", b="lower_lip"):
     """Per-frame distance between two landmarks, zero-pose space (default: the mouth opening)."""
-    v = forward_batch(model, m.params, zero_posed=True, vertices=[model.landmark(a), model.landmark(b)])
+    v = forward_batch(model, m.params, zero_posed=True, vertices=[model.landmarks[a], model.landmarks[b]])
     return landmark_distance(v, 0, 1)
 
 
@@ -118,7 +118,7 @@ def test_ufd_single_vertex_unit_growth_anchor():
 
 
 def test_ufd_matches_displacement_oracle(seed0_model, seed0_motion):
-    idx = seed0_model.region("upper_face")
+    idx = seed0_model.regions["upper_face"]
     minus_zero = dataclasses.replace(seed0_model, template=seed0_model.template.copy())
     minus_zero.template[idx[::2], 1] = -0.0
     m = MotionSequence(seed0_motion.params[:12], fps=25.0)
@@ -365,7 +365,7 @@ def test_compare_renders_the_reference_once(seed0_model, seed0_motion, monkeypat
             yield MotionSequence(seed0_motion.params[10 * i : 10 * i + 30], fps=25.0)
 
     monkeypatch.setattr(metrics, "forward_batch", counted)
-    scored = 4 + seed0_model.region("upper_face").size
+    scored = 4 + seed0_model.regions["upper_face"].size
     metrics.compare(seed0_model, reference, candidates())
     # one render of the reference, then one per candidate, each taken when its turn comes
     assert events == [("render", 30, scored)] + [e for i in range(3) for e in (("load", i), ("render", 30, scored))]

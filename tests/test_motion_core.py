@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from facemotion import metrics
 from facemotion import motion_core as mc
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
 
@@ -187,7 +188,7 @@ def static(t=1):
 def mouth(model, t=1):
     """Zero-posed landmarks of t zero frames, (t, 4, 3) in LANDMARK_NAMES order."""
     return mc.forward_batch(model, static(t).params, zero_posed=True,
-                            vertices=[model.landmark(name) for name in mc.LANDMARK_NAMES])
+                            vertices=[model.landmarks[name] for name in mc.LANDMARK_NAMES])
 
 
 def test_mouth_opening_simple_cases():
@@ -206,33 +207,33 @@ def test_mouth_width_simple_cases():
 
 
 def test_mouth_metrics_match_landmark_oracle(seed0_model, rng):
-    lm = seed0_model.landmark
+    lm = seed0_model.landmarks
     v = mc.forward_batch(seed0_model, np.zeros((1, 58)))[0]
-    assert mc.landmark_distance(v, lm("upper_lip"), lm("lower_lip")) == pytest.approx(
-        oracles.landmark_distance(v, lm("upper_lip"), lm("lower_lip")), abs=1e-15
+    assert mc.landmark_distance(v, lm["upper_lip"], lm["lower_lip"]) == pytest.approx(
+        oracles.landmark_distance(v, lm["upper_lip"], lm["lower_lip"]), abs=1e-15
     )
     smile = np.zeros((1, 58))
     smile[0, :50] = rng.uniform(-0.2, 0.2, 50)
     v2 = mc.forward_batch(seed0_model, smile)[0]
-    assert mc.landmark_distance(v2, lm("left_corner"), lm("right_corner")) == pytest.approx(
-        oracles.landmark_distance(v2, lm("left_corner"), lm("right_corner")), abs=1e-15
+    assert mc.landmark_distance(v2, lm["left_corner"], lm["right_corner"]) == pytest.approx(
+        oracles.landmark_distance(v2, lm["left_corner"], lm["right_corner"]), abs=1e-15
     )
 
 
 def test_missing_landmark_raises():
     model = tiny_model([[0, 1, 0], [0, -1, 0], [0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    model.landmarks.pop("upper_lip")
-    with pytest.raises(ModelConfigError):
-        metrics.full_report(model, static(3), static(3))
+    landmarks = {k: v for k, v in model.landmarks.items() if k != "upper_lip"}
+    with pytest.raises(ModelConfigError, match="no landmark 'upper_lip'"):
+        dataclasses.replace(model, landmarks=landmarks)
 
 
 def test_mouth_metrics_invariant_under_global_pose_when_zero_posed(seed0_model, rng):
     params = random_params(rng)
-    lm = seed0_model.landmark
-    lips = [lm("upper_lip"), lm("lower_lip")]
+    lm = seed0_model.landmarks
+    lips = [lm["upper_lip"], lm["lower_lip"]]
     o_posed = mc.landmark_distance(mc.forward_batch(seed0_model, params, zero_posed=True, vertices=lips), 0, 1)[0]
     neutral = mc.forward_batch(seed0_model, zero_global(params))[0]
-    assert o_posed == mc.landmark_distance(neutral, lm("upper_lip"), lm("lower_lip"))
+    assert o_posed == mc.landmark_distance(neutral, lm["upper_lip"], lm["lower_lip"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +300,15 @@ def test_model_region_invariants_enforced():
         jaw_region=np.array([0]),
         landmarks={"upper_lip": 0, "lower_lip": 1, "left_corner": 2, "right_corner": 3},
     )
-    with pytest.raises(ModelConfigError):
-        mc.BlendshapeModel(regions={"lips": np.array([0, 1]), "face": np.array([1])}, **base)
-    with pytest.raises(ModelConfigError):
+    with pytest.raises(ModelConfigError, match="subset"):
+        mc.BlendshapeModel(
+            regions={"lips": np.array([0, 1]), "face": np.array([1]), "upper_face": np.array([2])}, **base
+        )
+    with pytest.raises(ModelConfigError, match="disjoint"):
         mc.BlendshapeModel(
             regions={"lips": np.array([0]), "face": np.array([0]), "upper_face": np.array([0])}, **base
         )
-    with pytest.raises(ModelConfigError):
+    with pytest.raises(ModelConfigError, match="out of range"):
         mc.BlendshapeModel(regions={"lips": np.array([7])}, **base)
 
 
@@ -317,4 +320,6 @@ def test_model_basis_shape_mismatch_raises():
             eyelid_basis=np.zeros((6, 3, 2)),
             jaw_joint=np.zeros(3),
             jaw_region=np.array([0]),
+            regions={"lips": np.array([0]), "face": np.array([0]), "upper_face": np.array([1])},
+            landmarks={"upper_lip": 0, "lower_lip": 1, "left_corner": 2, "right_corner": 3},
         )

@@ -81,7 +81,7 @@ def test_streamed_loss_terms_equal_plain_formulas_bit_for_bit(seed0_model, t, re
     elif region == "unsorted":
         idx = rng.choice(n, size=rng.integers(2, n), replace=bool(rng.integers(2)))
     else:
-        idx = seed0_model.region(region)
+        idx = seed0_model.regions[region]
     assert _bits(losses._region_mse(v, v_hat, idx)) == _bits(oracles.region_mse_formula(v, v_hat, idx))
     got = losses._dyn_terms(v, v_hat)
     assert _bits(np.array(got)) == _bits(np.array(oracles.dyn_terms_formula(v, v_hat)))

@@ -1,12 +1,15 @@
 """One test per value rule, over every type the rule serves: the array rule
-(``motion_core.finite_array``), the count rule (``motion_core.count_at_least``)
-and the token grid rule (``rvq.TokenSequence`` and ``rvq.check_fit``)."""
+(``motion_core.finite_array``), the vertex-index rule (``motion_core._vertex_indices``),
+the count rule (``motion_core.count_at_least``) and the token grid rule
+(``rvq.TokenSequence`` and ``rvq.check_fit``)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from facemotion import metrics, rvq, streamsim, synth
-from facemotion.errors import IncompatibleShapeError
+from facemotion.errors import IncompatibleShapeError, ModelConfigError
 from facemotion.motion_core import FRAME_DIM, BlendshapeModel, MotionSequence, forward_batch
 
 MODEL = synth.make_model(synth.SynthConfig(num_vertices=synth.MIN_VERTICES))
@@ -17,7 +20,8 @@ PROBS = rvq.TokenSequence(np.zeros((1, 1), dtype=np.int64), group_size=5, num_le
 def _model_with(field):
     def make(value):
         arrays = {name: getattr(MODEL, name) for name in ("template", "expr_basis", "eyelid_basis", "jaw_joint")}
-        return BlendshapeModel(**{**arrays, field: value}, jaw_region=MODEL.jaw_region)
+        return BlendshapeModel(**{**arrays, field: value}, jaw_region=MODEL.jaw_region, regions=MODEL.regions,
+                               landmarks=MODEL.landmarks)
     return make
 
 
@@ -103,6 +107,37 @@ def test_count_rule_refuses_non_integers_bools_and_small_values_naming_the_field
         make(value)
     expected = f">= {minimum}, got 0" if value == 0 else f"an integer, got {value!r}"
     assert str(exc.value) == f"{field} must be {expected}"
+
+
+# (name the error gives, a valid value, the call that takes it); a landmark is one index, the others 1-D arrays
+INDICES = {
+    "jaw_region": ("jaw_region", MODEL.jaw_region, lambda a: dataclasses.replace(MODEL, jaw_region=a)),
+    "region": ("region 'face'", MODEL.regions["face"],
+               lambda a: dataclasses.replace(MODEL, regions={**MODEL.regions, "face": a})),
+    "landmark": ("landmark 'upper_lip'", MODEL.landmarks["upper_lip"],
+                 lambda a: dataclasses.replace(MODEL, landmarks={**MODEL.landmarks, "upper_lip": a})),
+    "forward_batch": ("vertices", np.arange(N), lambda a: forward_batch(MODEL, np.zeros((1, FRAME_DIM)), vertices=a)),
+}
+
+
+@pytest.mark.parametrize("bad", ["2-D", "0-d or 1-D", "negative", ">= N"])
+@pytest.mark.parametrize("kind", INDICES)
+def test_vertex_index_rule_refuses_wrong_ranks_and_indices_out_of_range_naming_the_field(kind, bad):
+    name, valid, make = INDICES[kind]
+    make(valid)
+    value = np.array(valid)
+    if bad in ("2-D", "0-d or 1-D"):  # "0-d or 1-D": one rank below a 1-D set, one above a landmark
+        error, message = IncompatibleShapeError, f"{name} must be a 1-D array of vertex indices, got shape"
+        if bad == "2-D":
+            value = np.array(value, ndmin=2)
+        else:
+            value = value[None] if value.ndim == 0 else value[0]
+    else:
+        error, message = ModelConfigError, f"{name} indices out of range for {N} vertices"
+        value.flat[0] = -1 if bad == "negative" else N
+    with pytest.raises(error) as exc:
+        make(value)
+    assert str(exc.value).startswith(message)
 
 
 def _codec(n_q=2, k=16, d_z=4):

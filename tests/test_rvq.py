@@ -158,8 +158,23 @@ def test_window_decode_rejects_excess_length(rng):
             rvq.window_decode(z, proj, cfg, original_t=original_t)
 
 
+def test_window_decode_rejects_a_projection_that_does_not_fit(rng):
+    cfg = small_cfg()
+    z = rvq.LatentSequence(rng.standard_normal((2, 4)))
+    with pytest.raises(IncompatibleShapeError, match="projection expects latent dim 3, got 4"):
+        rvq.window_decode(z, random_projection(rng, 3, cfg.window_dim), cfg, original_t=10)
+    with pytest.raises(IncompatibleShapeError, match="projection window dim 116 does not match config 290"):
+        rvq.window_decode(z, random_projection(rng, 4, 2 * FRAME_DIM), cfg, original_t=10)
+
+
 # ---------------------------------------------------------------------------
 # rvq_encode / rvq_decode
+
+
+def test_rvq_encode_rejects_latents_of_another_dim():
+    cb = rvq.Codebook(np.zeros((1, 2, 4)))
+    with pytest.raises(IncompatibleShapeError, match="codebook latent dim 4 does not match latents 3"):
+        rvq.rvq_encode(rvq.LatentSequence(np.zeros((2, 3))), cb)
 
 
 def test_rvq_encode_single_codeword_maps_everything_to_zero(rng):
@@ -449,6 +464,21 @@ def test_train_on_distinct_points_returns_k_distinct_codewords(seed):
     pts = np.random.default_rng(seed).standard_normal((60, 3))
     cb = rvq.train_codebooks(pts, small_cfg(num_levels=1, codebook_size=16, latent_dim=3, seed=seed))
     assert np.unique(cb.entries[0], axis=0).shape[0] == 16
+
+
+# (n, d, block width): a narrower last block of 6, and the one-column floor
+@pytest.mark.parametrize("n, d, width", [(3000, 16, 10), (40000, 3, 1)])
+def test_cluster_sums_add_each_clusters_points_in_point_order(n, d, width):
+    assert min(d, max(1, rvq._BLOCK_VALUES // n)) == width
+    rng = np.random.default_rng(0)
+    k = 7
+    points = rng.standard_normal((n, d))
+    idx = rng.integers(0, k, size=n)
+    sums, counts = rvq._cluster_sums(points, idx, k)
+    expected = np.zeros((k, d))
+    np.add.at(expected, idx, points)  # adds point by point, in point order
+    assert sums.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(counts, np.bincount(idx, minlength=k))
 
 
 def test_train_rejects_empty_batch():

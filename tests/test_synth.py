@@ -31,14 +31,14 @@ def test_model_region_invariants_across_seeds(seed):
     assert model.regions["upper_face"].size > 0
     assert model.jaw_region.size > 0
     # lower lip articulates with the jaw, upper lip does not
-    assert model.landmark("lower_lip") in set(model.jaw_region)
-    assert model.landmark("upper_lip") not in set(model.jaw_region)
+    assert model.landmarks["lower_lip"] in set(model.jaw_region)
+    assert model.landmarks["upper_lip"] not in set(model.jaw_region)
 
 
 def test_seed0_landmarks_match_golden(seed0_model):
     golden = json.loads(GOLDEN.read_text())
     for name, coords in golden["landmarks"].items():
-        np.testing.assert_allclose(seed0_model.template[seed0_model.landmark(name)], coords, rtol=0, atol=0)
+        np.testing.assert_allclose(seed0_model.template[seed0_model.landmarks[name]], coords, rtol=0, atol=0)
     np.testing.assert_allclose(seed0_model.jaw_joint, golden["jaw_joint"], rtol=0, atol=0)
 
 
@@ -72,7 +72,7 @@ def test_jaw_channel_is_rectified_sinusoid():
 
 
 def test_seed0_opening_peak_count_matches_speech_rate(seed0_model, seed0_motion, seed0_cfg):
-    lips = [seed0_model.landmark("upper_lip"), seed0_model.landmark("lower_lip")]
+    lips = [seed0_model.landmarks["upper_lip"], seed0_model.landmarks["lower_lip"]]
     opening = landmark_distance(forward_batch(seed0_model, seed0_motion.params, zero_posed=True, vertices=lips), 0, 1)
     n_peaks = len(detect_peaks(opening, 0.05, 3))
     expected = round(seed0_cfg.duration_frames / seed0_cfg.fps * seed0_cfg.speech_rate_hz)
