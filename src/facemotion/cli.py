@@ -526,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        done = args.func(args, _load_config(args.config))
+        # an overflow or 0*inf yields inf or NaN, which the reports refuse as a ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            done = args.func(args, _load_config(args.config))
         manifest = {
             "manifest": 1,
             "tool_version": __version__,

@@ -16,29 +16,32 @@ and commitment terms, each scaled by lambda_vq, on top of l_rec:
 Reduction order. Each vertex term is bit-identical to its plain formula,
 ``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)`` for a region and
 ``np.mean((np.diff(v, n, axis=0) - np.diff(v_hat, n, axis=0)) ** 2)`` for
-n = 1, 2. The squared differences are written, ``_BLOCK_FRAMES`` frames at a
-time (the forward model's block size), into one buffer holding the same
-values in the same memory order as the plain formula's array, and one
-``np.mean`` sums that buffer:
+n = 1, 2, on whole-clip zero-posed renders. ``total_losses`` walks the clip
+once in the forward model's blocks of ``_BLOCK_FRAMES`` frames. For the
+block [start, stop) it renders frames [max(start - 2, 0), stop) of both
+clips (batch invariance makes each row the whole-clip render's row) and
+writes the squared differences into four C-contiguous buffers, each holding
+the plain formula's values in its memory order; one ``np.mean`` sums each:
 
-- a region buffer is C-contiguous (len(idx), T, 3), the layout numpy gives
-  ``v[:, idx]`` (the indexed axis outermost);
-- the dynamics buffer is C-contiguous (T-1, N, 3) and holds the velocity
-  terms; its (T-2, N, 3) prefix is then overwritten with the acceleration
-  terms.
+- a region's is (len(idx), T, 3), the layout of ``v[:, idx]`` (the indexed
+  axis outermost);
+- velocity's is (T-1, N, 3) and acceleration's (T-2, N, 3). The two frames
+  rendered again finish the differences that end in the block, and the
+  rows they rewrite get the same values.
 
-The velocity and acceleration arrays themselves are never built, so a call
-holds the two renders and one buffer of squared differences.
+No whole render, velocity or acceleration array is built: a call holds its
+four buffers and a few block-sized arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Optional
 
 import numpy as np
 
-from .motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, check_pair, forward_batch, nonnegative_finite
+from .motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, check_pair, finite_array
+from .motion_core import forward_batch, nonnegative_finite
 from .rvq import LatentSequence, QuantizerConfig, commitment_loss
 
 REDUCTION = "mean_over_frames_and_dims"
@@ -69,42 +72,14 @@ class LossReport:
     l_vqvae: float
     weights: LossWeights = field(default_factory=LossWeights)
 
+    def __post_init__(self):
+        for f in fields(self)[:-1]:  # every term is finite
+            finite_array(getattr(self, f.name), f.name, ())
+
     def to_dict(self) -> Dict[str, object]:
         values = asdict(self)
         weights = values.pop("weights")
         return {"values": values, "weights": weights, "reduction": REDUCTION}
-
-
-def _region_mse(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
-    """``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)``, bit for bit (see the
-    module docstring), without the gathered arrays."""
-    t = v.shape[0]
-    sq = np.empty((idx.size, t, 3))
-    for start in range(0, t, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, t)
-        d = sq[:, start:stop].transpose(1, 0, 2)
-        np.subtract(v[start:stop, idx], v_hat[start:stop, idx], out=d)
-        np.square(d, out=d)
-    return float(np.mean(sq))
-
-
-def _fill_squared_diff(sq: np.ndarray, v: np.ndarray, v_hat: np.ndarray, n: int) -> None:
-    """sq[i] = (np.diff(v, n, axis=0)[i] - np.diff(v_hat, n, axis=0)[i]) ** 2
-    for every row i of ``sq``, chunk by chunk."""
-    for start in range(0, sq.shape[0], _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, sq.shape[0])
-        d = np.diff(v[start : stop + n], n, axis=0)
-        d -= np.diff(v_hat[start : stop + n], n, axis=0)
-        np.square(d, out=sq[start:stop])
-
-
-def _dyn_terms(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
-    sq = np.empty((v.shape[0] - 1,) + v.shape[1:])
-    _fill_squared_diff(sq, v, v_hat, 1)
-    l_vel = float(np.mean(sq))
-    acc = sq[:-1]
-    _fill_squared_diff(acc, v, v_hat, 2)
-    return l_vel, float(np.mean(acc))
 
 
 def total_losses(
@@ -118,20 +93,35 @@ def total_losses(
 ) -> LossReport:
     """Itemized loss report; z/q omitted means the quantizer terms are zero.
 
-    Each sequence is rendered once, in zero-pose space; the geo and dyn terms
-    share the arrays. The dyn terms are forward differences (lengths T-1 and
-    T-2, no padding), so the pair needs at least 3 frames. The quantizer
-    terms enter l_vqvae scaled by ``lambda_vq``; ``gamma`` is the codec's
-    commitment weight (``QuantizerConfig.gamma``).
+    Each sequence is rendered block by block, in zero-pose space; the geo and
+    dyn terms share each block's render. The dyn terms are forward
+    differences (lengths T-1 and T-2, no padding), so the pair needs at
+    least 3 frames. The quantizer terms enter l_vqvae scaled by
+    ``lambda_vq``; ``gamma`` is the codec's commitment weight
+    (``QuantizerConfig.gamma``).
     """
     w = weights or LossWeights()
     check_pair(m, m_hat)
     l_param = float(np.mean((m.params - m_hat.params) ** 2))
-    v = forward_batch(model, m.params, zero_posed=True)
-    v_hat = forward_batch(model, m_hat.params, zero_posed=True)
-    l_lips = _region_mse(v, v_hat, model.regions["lips"])
-    l_face = _region_mse(v, v_hat, model.regions["face"])
-    l_vel, l_acc = _dyn_terms(v, v_hat)
+    t, n = len(m), model.num_vertices
+    regions = (model.regions["lips"], model.regions["face"])
+    region_sq = [np.empty((idx.size, t, 3)) for idx in regions]
+    dyn_sq = (np.empty((t - 1, n, 3)), np.empty((t - 2, n, 3)))
+    for start in range(0, t, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, t)
+        lo = max(start - 2, 0)  # two frames back, for the differences that end in this block
+        v = forward_batch(model, m.params[lo:stop], zero_posed=True)
+        v_hat = forward_batch(model, m_hat.params[lo:stop], zero_posed=True)
+        for idx, sq in zip(regions, region_sq):
+            d = sq[:, start:stop].transpose(1, 0, 2)
+            np.subtract(np.take(v[start - lo :], idx, axis=1), np.take(v_hat[start - lo :], idx, axis=1), out=d)
+            np.square(d, out=d)
+        for order, sq in enumerate(dyn_sq, 1):
+            # rows lo .. stop-order-1; any below start-order rewrite the last block's values
+            d = np.diff(v, order, axis=0)
+            d -= np.diff(v_hat, order, axis=0)
+            np.square(d, out=sq[lo : stop - order])
+    l_lips, l_face, l_vel, l_acc = (float(np.mean(sq)) for sq in (*region_sq, *dyn_sq))
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:
         codebook_term, commit_term = 0.0, 0.0

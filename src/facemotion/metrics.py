@@ -9,7 +9,7 @@ NaN or fake zeros.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .motion_core import (
     MotionSequence,
     check_pair,
     count_at_least,
+    finite_array,
     forward_batch,
     landmark_distance,
 )
@@ -54,6 +55,11 @@ class MetricsReport:
     peak_align_ms: Optional[float]
     undefined: Dict[str, str] = field(default_factory=dict)
     config: MetricsConfig = field(default_factory=MetricsConfig)
+
+    def __post_init__(self):
+        for f in fields(self)[:-2]:  # every score is finite, or None where ``undefined`` says why
+            if getattr(self, f.name) is not None:
+                finite_array(getattr(self, f.name), f.name, ())
 
     def to_dict(self) -> Dict[str, object]:
         values = asdict(self)
@@ -249,4 +255,4 @@ def compare(
         check_pair(pred, reference)
         v_pred = forward_batch(model, pred.params, zero_posed=True, vertices=idx)
         reports.append(_report(model, idx, v_pred, v_ref, reference.fps, cfg))
-    return _ufd(model, v_ref, idx), reports
+    return float(finite_array(_ufd(model, v_ref, idx), "reference ufd", ())), reports

@@ -19,7 +19,9 @@ from .motion_core import (
     DEFAULT_FPS,
     EXPRESSION_DIM,
     EYELID_DIM,
+    EYELID_SLICE,
     FRAME_DIM,
+    JAW_SLICE,
     BlendshapeModel,
     MotionSequence,
     count_at_least,
@@ -175,7 +177,7 @@ def make_motion(cfg: SynthConfig) -> MotionSequence:
     t = np.arange(t_len) / cfg.fps
     params = np.zeros((t_len, FRAME_DIM))
 
-    params[:, 50] = _JAW_AMPLITUDE_RAD * np.abs(np.sin(np.pi * cfg.speech_rate_hz * t))
+    params[:, JAW_SLICE.start] = _JAW_AMPLITUDE_RAD * np.abs(np.sin(np.pi * cfg.speech_rate_hz * t))
 
     mixing = _expression_mixing()
     factors = np.cumsum(cfg.rng(1).standard_normal((t_len, _EXPRESSION_RANK)), axis=0)
@@ -193,8 +195,7 @@ def make_motion(cfg: SynthConfig) -> MotionSequence:
     lid = np.zeros(t_len)
     for bt in blink_times:
         lid += _BLINK_AMPLITUDE * np.exp(-0.5 * ((t - bt) / _BLINK_WIDTH_S) ** 2)
-    params[:, 56] = lid
-    params[:, 57] = lid
+    params[:, EYELID_SLICE] = lid[:, None]
 
     if cfg.noise_std > 0:
         params += cfg.rng(3).standard_normal((t_len, FRAME_DIM)) * cfg.noise_std

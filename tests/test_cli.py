@@ -363,6 +363,23 @@ def test_pair_with_different_fps_exits_4(tmp_path, capsys, command, pair):
     assert not (res / f"{command}.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("eval-metrics", ("--gt", "--pred")),
+    ("compare", ("--reference", "--candidate")),
+], ids=["eval-metrics", "compare"])
+def test_score_that_overflows_exits_4_and_writes_nothing(tmp_path, capsys, command, pair):
+    # the template entry is finite, but the landmark distances overflow to inf and MOD to NaN
+    out = gen(tmp_path, frames=20)
+    doc = fileio.read_json(out / "model.json")
+    doc["template"][0][1] = 1e308
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    assert run(command, "--out", res, "--model", bad, pair[0], out / "motion.a2mo", pair[1], out / "motion.a2mo") == 4
+    assert "mod_mm contains non-finite values" in capsys.readouterr().err
+    assert not res.exists()
+
+
 def test_compare_reference_copy_ranks_first(tmp_path):
     out = gen(tmp_path, frames=50)
     other = gen(tmp_path, "other", frames=50, seed=1)

@@ -379,6 +379,17 @@ def test_compare_refuses_a_reference_too_short_to_score(seed0_model):
         metrics.compare(seed0_model, MotionSequence(np.zeros((2, 58))), [])
 
 
+def test_compare_refuses_a_reference_ufd_that_overflows():
+    # the basis entry is finite, but the displacement's squared norm is not; the
+    # still candidate's report is finite, so only the reference's UFD can refuse it
+    model = opening_axis_model()
+    model.expr_basis[4, 1, 1] = 1e300
+    reference = motion_with_channel([0.0, 1.0, 0.5, 1.0], channel=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="reference ufd contains non-finite values"):
+            metrics.compare(model, reference, [motion_with_channel([0.0] * 4)])
+
+
 def test_metrics_config_validation():
     with pytest.raises(ValueError):
         metrics.MetricsConfig(peak_min_prominence=1.5)

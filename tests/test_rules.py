@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from facemotion import metrics, rvq, streamsim, synth
+from facemotion import losses, metrics, rvq, streamsim, synth
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
 from facemotion.motion_core import FRAME_DIM, BlendshapeModel, MotionSequence, forward_batch
 
@@ -34,6 +34,11 @@ def _projection_with(field):
     return make
 
 
+def _report_with(cls, field):
+    scores = [f.name for f in dataclasses.fields(cls) if f.name not in ("weights", "undefined", "config")]
+    return lambda value: cls(**{**dict.fromkeys(scores, 0.0), field: value})
+
+
 # (field the error names, its shape as the error states it, a valid value, the call that takes it)
 ARRAYS = {
     "MotionSequence": ("params", "(T, 58)", np.zeros((3, FRAME_DIM)), MotionSequence),
@@ -57,6 +62,9 @@ ARRAYS = {
                            lambda a: streamsim.PredictorSpec("retrieval", corpus=[(np.zeros(3), [[0]]), (a, [[1]])])),
     "hierarchical_ce": ("pred_dists", "(L, N_q, K)", np.full((1, 1, 2), 0.5),
                         lambda a: streamsim.hierarchical_ce(a, PROBS)),
+    "LossReport.l_acc": ("l_acc", "()", 0.0, _report_with(losses.LossReport, "l_acc")),
+    "MetricsReport.mod_mm": ("mod_mm", "()", 0.0, _report_with(metrics.MetricsReport, "mod_mm")),
+    "MetricsReport.peak_align_ms": ("peak_align_ms", "()", 0.0, _report_with(metrics.MetricsReport, "peak_align_ms")),
 }
 
 
