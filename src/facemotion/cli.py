@@ -17,7 +17,7 @@ integral one for int fields), is a format error.
 
 Exit codes: 0 success, 2 usage error, 3 file-format error (including bad
 config files), 4 computation or input error (mismatched lengths, invalid
-values), 5 I/O failure.
+values, an array too large to allocate), 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -195,11 +195,12 @@ def _add_settings(parser, section):
 
 def cmd_gen_data(args, config) -> Outcome:
     scfg = synth.SynthConfig(**_settings(args, config, "synth"))
+    model, motion = synth.make_model(scfg), synth.make_motion(scfg)
     out = _out_dir(args)
     model_path = out / "model.json"
     motion_path = out / "motion.a2mo"
-    fileio.save_model(model_path, synth.make_model(scfg))
-    fileio.save_motion(motion_path, synth.make_motion(scfg))
+    fileio.save_model(model_path, model)
+    fileio.save_motion(motion_path, motion)
     return Outcome(
         f"wrote {model_path} and {motion_path}",
         outputs={"model": model_path, "motion": motion_path},
@@ -552,6 +553,9 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
     except (FaceMotionError, ValueError) as exc:
         print(f"facemotion {args.command}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # a count too large for this machine; numpy's message names the size
+        print(f"facemotion {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"facemotion {args.command}: I/O error: {exc}", file=sys.stderr)

@@ -13,28 +13,30 @@ and commitment terms, each scaled by lambda_vq, on top of l_rec:
 
     l_vqvae = l_rec + lambda_vq * codebook_term + lambda_vq * commit_term
 
-Reduction order. Each vertex term is bit-identical to its plain formula,
-``np.mean((v[:, idx] - v_hat[:, idx]) ** 2)`` for a region and
-``np.mean((np.diff(v, n, axis=0) - np.diff(v_hat, n, axis=0)) ** 2)`` for
-n = 1, 2, on whole-clip zero-posed renders. ``total_losses`` walks the clip
-once in the forward model's blocks of ``_BLOCK_FRAMES`` frames. For the
-block [start, stop) it renders frames [max(start - 2, 0), stop) of both
-clips (batch invariance makes each row the whole-clip render's row) and
-writes the squared differences into four C-contiguous buffers, each holding
-the plain formula's values in its memory order; one ``np.mean`` sums each:
+Reduction order. Each term is the correctly rounded sum (``math.fsum``) of
+its per-frame sums, divided by its element count. A frame's sum is
+``np.sum`` over that frame's C-contiguous squared differences: its 58
+parameters for ``l_param``, ``(v[i, idx] - v_hat[i, idx]) ** 2`` (vertex-major,
+coordinates innermost) for a region, and the same over all N vertices of the
+n-th forward differences for velocity (n = 1) and acceleration (n = 2), on
+zero-posed renders. A frame's sum does not depend on the frames around it,
+and ``fsum`` does not depend on the order it adds in, so any split of the
+clip into blocks gives the same bits.
 
-- a region's is (len(idx), T, 3), the layout of ``v[:, idx]`` (the indexed
-  axis outermost);
-- velocity's is (T-1, N, 3) and acceleration's (T-2, N, 3). The two frames
-  rendered again finish the differences that end in the block, and the
-  rows they rewrite get the same values.
-
-No whole render, velocity or acceleration array is built: a call holds its
-four buffers and a few block-sized arrays.
+``total_losses`` walks the clip once in the forward model's blocks of
+``_BLOCK_FRAMES`` frames. For the block [start, stop) it renders frames
+[max(start - 2, 0), stop) of both clips (batch invariance makes each row
+the whole-clip render's row) and writes each frame's sums into four
+per-frame arrays of length T, T, T-1 and T-2. The two frames rendered again
+finish the differences that end in the block, and the sums they rewrite get
+the same values. No whole-clip render, difference or squared-difference
+array is built: a call holds the per-frame sums and a few block-sized
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
@@ -102,26 +104,29 @@ def total_losses(
     """
     w = weights or LossWeights()
     check_pair(m, m_hat)
-    l_param = float(np.mean((m.params - m_hat.params) ** 2))
     t, n = len(m), model.num_vertices
+    param_sums = np.empty(t)
+    _frame_sums(m.params - m_hat.params, param_sums)
     regions = (model.regions["lips"], model.regions["face"])
-    region_sq = [np.empty((idx.size, t, 3)) for idx in regions]
-    dyn_sq = (np.empty((t - 1, n, 3)), np.empty((t - 2, n, 3)))
+    region_sums = (np.empty(t), np.empty(t))
+    dyn_sums = (np.empty(t - 1), np.empty(t - 2))
     for start in range(0, t, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, t)
         lo = max(start - 2, 0)  # two frames back, for the differences that end in this block
         v = forward_batch(model, m.params[lo:stop], zero_posed=True)
         v_hat = forward_batch(model, m_hat.params[lo:stop], zero_posed=True)
-        for idx, sq in zip(regions, region_sq):
-            d = sq[:, start:stop].transpose(1, 0, 2)
-            np.subtract(np.take(v[start - lo :], idx, axis=1), np.take(v_hat[start - lo :], idx, axis=1), out=d)
-            np.square(d, out=d)
-        for order, sq in enumerate(dyn_sq, 1):
-            # rows lo .. stop-order-1; any below start-order rewrite the last block's values
+        for idx, sums in zip(regions, region_sums):
+            d = np.take(v[start - lo :], idx, axis=1)
+            d -= np.take(v_hat[start - lo :], idx, axis=1)
+            _frame_sums(d, sums[start:stop])
+        for order, sums in enumerate(dyn_sums, 1):
+            # frames lo .. stop-order-1; any below start-order rewrite the last block's sums
             d = np.diff(v, order, axis=0)
             d -= np.diff(v_hat, order, axis=0)
-            np.square(d, out=sq[lo : stop - order])
-    l_lips, l_face, l_vel, l_acc = (float(np.mean(sq)) for sq in (*region_sq, *dyn_sq))
+            _frame_sums(d, sums[lo : lo + len(d)])
+    l_param = _mean(param_sums, m.params.shape[1])
+    l_lips, l_face = (_mean(sums, idx.size * 3) for idx, sums in zip(regions, region_sums))
+    l_vel, l_acc = (_mean(sums, n * 3) for sums in dyn_sums)
     l_rec = combine_rec(l_param, l_lips, l_face, l_vel, l_acc, w)
     if z is None or q is None:
         codebook_term, commit_term = 0.0, 0.0
@@ -139,6 +144,19 @@ def total_losses(
         l_vqvae=l_rec + w.lambda_vq * codebook_term + w.lambda_vq * commit_term,
         weights=w,
     )
+
+
+def _frame_sums(d: np.ndarray, out: np.ndarray) -> None:
+    """Square the C-contiguous differences ``d`` (frames first) in place and
+    write each frame's sum to ``out``; ``d`` may hold no frames, for blocks
+    shorter than the differences' order."""
+    np.square(d, out=d)
+    np.sum(d.reshape(len(d), math.prod(d.shape[1:])), axis=1, out=out)
+
+
+def _mean(frame_sums: np.ndarray, per_frame: int) -> float:
+    """The mean of ``len(frame_sums) * per_frame`` values from their per-frame sums."""
+    return math.fsum(frame_sums.tolist()) / (frame_sums.size * per_frame)
 
 
 def combine_rec(

@@ -355,16 +355,24 @@ def peaks_outward_scan(x: Sequence[float], min_prominence_frac: float, min_dista
     return np.array(sorted(accepted), dtype=np.int64)
 
 
+def frame_sums_mean(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference of two frames-first arrays: math.fsum of each
+    frame's np.sum over its squared differences in C order, one frame at a
+    time, over the element count."""
+    sums = [float(np.sum(np.ascontiguousarray(a[i] - b[i]) ** 2)) for i in range(len(a))]
+    return math.fsum(sums) / a.size
+
+
 def region_mse_formula(v: np.ndarray, v_hat: np.ndarray, idx: np.ndarray) -> float:
-    """A region's vertex loss as one expression over the gathered arrays."""
-    return float(np.mean((v[:, idx] - v_hat[:, idx]) ** 2))
+    """A region's vertex loss over the gathered whole-clip arrays."""
+    return frame_sums_mean(v[:, idx], v_hat[:, idx])
 
 
 def dyn_terms_formula(v: np.ndarray, v_hat: np.ndarray) -> Tuple[float, float]:
     """(l_vel, l_acc) from whole velocity and acceleration arrays."""
     vel, vel_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
     acc, acc_hat = np.diff(vel, axis=0), np.diff(vel_hat, axis=0)
-    return float(np.mean((vel - vel_hat) ** 2)), float(np.mean((acc - acc_hat) ** 2))
+    return frame_sums_mean(vel, vel_hat), frame_sums_mean(acc, acc_hat)
 
 
 def smooth_same_mode(x: np.ndarray, window: int) -> np.ndarray:

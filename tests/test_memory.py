@@ -4,10 +4,11 @@ it). Each bound is the measured peak plus about a tenth of its unit.
 The vertex pipelines run on a long clip and count in units of one (T, N, 3)
 float64 vertex array; the frame-blocked forward model and the streamed loss
 buffers are what keep their peaks this low, and the code before them used
-about 3, 7 and 2.4 arrays. The loss terms' peak, 3.09 arrays, is mostly
-their four squared-difference buffers: velocity and acceleration about one
-array each, the lips and face regions 0.73 together. Codebook training counts in units of one (n, K)
-float64 score array, n being the number of training windows."""
+about 3, 7 and 2.4 arrays. The loss terms keep only each frame's sums (five
+arrays of T values), so their peak, 0.38 arrays, is the block-sized renders
+and differences: about six arrays of 130 frames. Codebook training counts
+in units of one (n, K) float64 score array, n being the number of training
+windows."""
 
 import tracemalloc
 
@@ -40,7 +41,7 @@ def _peak_bytes(fn):
 
 @pytest.mark.parametrize(
     "name, bound",
-    [("total_losses", 3.2), ("full_report", 1.5), ("forward_batch", 1.3)],
+    [("total_losses", 0.5), ("full_report", 1.5), ("forward_batch", 1.3)],
 )
 def test_transient_peak_in_vertex_arrays(long_pair, name, bound):
     model, m, m_hat = long_pair

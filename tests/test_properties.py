@@ -62,6 +62,21 @@ def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_ja
     assert _bits(sub) == _bits(full[:, subset])
 
 
+def _terms(report):
+    return np.array([report.l_param, report.l_lips, report.l_face, report.l_vel, report.l_acc])
+
+
+def _oracle_terms(model, params, params_hat):
+    """The five terms by the oracle formulas, on whole-clip zero-posed renders."""
+    v = mc.forward_batch(model, params, zero_posed=True)
+    v_hat = mc.forward_batch(model, params_hat, zero_posed=True)
+    return np.array([
+        oracles.frame_sums_mean(params, params_hat),
+        *(oracles.region_mse_formula(v, v_hat, model.regions[name]) for name in ("lips", "face")),
+        *oracles.dyn_terms_formula(v, v_hat),
+    ])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t=st.sampled_from([3, 4, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 2 * BLOCK + 2]),
@@ -71,9 +86,9 @@ def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_ja
 )
 @example(t=2 * BLOCK + 1, region="unsorted", seed=0, scale=1.0)
 def test_streamed_loss_terms_equal_plain_formulas_bit_for_bit(seed0_model, t, region, seed, scale):
-    # random values make every summation order give different last bits, so
-    # equal bits mean the block-filled buffers are summed in the plain order;
-    # lengths on either side of the block size cover the blocks' overlap
+    # random values make most summation orders give different last bits, so
+    # equal bits mean each frame's values are summed in one row and the rows
+    # by fsum; lengths on either side of the block size cover the blocks' overlap
     rng = np.random.default_rng(seed)
     n = seed0_model.num_vertices
     if region == "one":
@@ -91,15 +106,20 @@ def test_streamed_loss_terms_equal_plain_formulas_bit_for_bit(seed0_model, t, re
     params[rng.random(t) >= 0.5, 53:56] = 0.0
     params_hat = params + rng.standard_normal((t, 58)) * 0.1 * scale
     report = losses.total_losses(model, mc.MotionSequence(params), mc.MotionSequence(params_hat))
-    v = mc.forward_batch(model, params, zero_posed=True)
-    v_hat = mc.forward_batch(model, params_hat, zero_posed=True)
-    expected = (
-        oracles.region_mse_formula(v, v_hat, lips),
-        oracles.region_mse_formula(v, v_hat, face),
-        *oracles.dyn_terms_formula(v, v_hat),
-    )
-    got = (report.l_lips, report.l_face, report.l_vel, report.l_acc)
-    assert _bits(np.array(got)) == _bits(np.array(expected))
+    assert _bits(_terms(report)) == _bits(_oracle_terms(model, params, params_hat))
+
+
+@pytest.mark.parametrize("block", [1, 25, 128, 333])
+def test_loss_terms_are_bit_identical_for_any_frame_block_size(seed0_model, monkeypatch, block):
+    # 2*128 + 1 frames: 1, 25 and 128 leave a short last block, 1 and 25 split the
+    # forward model's blocks, and 333 takes the whole clip as one block
+    rng = np.random.default_rng(11)
+    params = rng.uniform(-0.3, 0.3, size=(2 * BLOCK + 1, 58))
+    params[rng.random(len(params)) >= 0.5, 50:56] = 0.0
+    params_hat = params + rng.standard_normal(params.shape) * 0.1
+    monkeypatch.setattr(losses, "_BLOCK_FRAMES", block)
+    report = losses.total_losses(seed0_model, mc.MotionSequence(params), mc.MotionSequence(params_hat))
+    assert _bits(_terms(report)) == _bits(_oracle_terms(seed0_model, params, params_hat))
 
 
 @settings(max_examples=500, deadline=None)
@@ -453,3 +473,24 @@ def test_cli_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(cli_inputs, ca
             assert (out / f"{argv[0]}.manifest.json").exists()
         else:
             assert not out.exists() or not any(out.iterdir())
+
+
+# 10**15 makes each command's first array sized by the flag at least 7 PiB, beyond the
+# 128 TiB user address space, so the allocation is refused at once under every overcommit mode.
+HUGE = 10**15
+
+
+@pytest.mark.parametrize("case, flag", [("gen-data", "--frames"), ("gen-data", "--vertices"),
+                                        ("fit-codec", "--levels"), ("fit-codec", "--codebook-size"),
+                                        ("fit-codec", "--group-size"), ("fit-codec", "--latent-dim")])
+def test_cli_run_with_a_count_too_large_to_allocate_exits_4_and_writes_nothing(cli_inputs, tmp_path, case, flag):
+    argv, flags = CLI_CASES[case]
+    assert flag in flags
+    out = tmp_path / "out"
+    full = [str(cli_inputs / a) if a in CLI_INPUTS else a for a in argv] + [flag, str(HUGE), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(full)
+    assert code == 4, err.getvalue()
+    assert err.getvalue().startswith(f"facemotion {argv[0]}: ")
+    assert not out.exists() or not any(out.iterdir())
