@@ -217,12 +217,9 @@ def cmd_fit_codec(args, config) -> Outcome:
     qcfg = rvq.QuantizerConfig(**_settings(args, config, "quantizer"))
     corpus = [_load_motion_any(p) for p in args.motion]
     proj, cb, history = rvq.fit_codec(corpus, qcfg, return_history=True)
-    out = _out_dir(args)
-    cb_path = out / "codebook.a2cb"
-    fileio.save_codebook(cb_path, cb, proj, qcfg)
-
-    # Report on the f32 codec as saved, so the norms match encode of the file.
-    cb, proj, saved = fileio.load_codebook(cb_path)
+    # Report on the f32 codec the file will hold, so the norms match encode of the file;
+    # the file is written last, so a failed report leaves none.
+    cb, proj, saved = fileio._stored_codec(cb, proj, qcfg)
     latents = np.vstack([rvq.window_encode(m, proj, qcfg).vectors for m in corpus])
     z = rvq.LatentSequence(latents, fps_latent=corpus[0].fps / qcfg.group_size)
     tokens, level_norms = rvq.rvq_encode(z, cb, group_size=qcfg.group_size)
@@ -236,6 +233,8 @@ def cmd_fit_codec(args, config) -> Outcome:
         }
         for h, entries in zip(history, cb.entries)
     ]
+    cb_path = _out_dir(args) / "codebook.a2cb"
+    fileio.save_codebook(cb_path, cb, proj, saved)
     return Outcome(
         f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})",
         outputs={"codebook": cb_path},

@@ -290,8 +290,22 @@ def load_model(path: _PathLike) -> motion_core.BlendshapeModel:
 # Codebooks + projections (A2CB)
 
 
+def _stored_codec(
+    cb: rvq.Codebook, proj: rvq.WindowProjection, cfg: rvq.QuantizerConfig
+) -> Tuple[rvq.Codebook, rvq.WindowProjection, rvq.QuantizerConfig]:
+    """The codec as an A2CB file holds it, and ``load_codebook`` reads it back: every array
+    and gamma rounded to f32, and the other config fields the file does not hold at their defaults."""
+    f32 = [a.astype("<f4") for a in (cb.entries, proj.encode_w, proj.encode_b, proj.decode_w, proj.decode_b)]
+    gamma = float(np.float32(cfg.gamma))  # struct's "f" rounds the same way
+    stored_cfg = rvq.QuantizerConfig(group_size=cfg.group_size, num_levels=cb.num_levels,
+                                     codebook_size=cb.codebook_size, latent_dim=cb.latent_dim, gamma=gamma)
+    return rvq.Codebook(f32[0]), rvq.WindowProjection(*f32[1:]), stored_cfg
+
+
 def save_codebook(path: _PathLike, cb: rvq.Codebook, proj: rvq.WindowProjection, cfg: rvq.QuantizerConfig) -> None:
-    """A2CB: header, f32 codebook entries level-major, then encode/decode maps."""
+    """A2CB: header, f32 codebook entries level-major, then encode/decode maps, each as
+    ``_stored_codec`` rounds it."""
+    cb, proj, cfg = _stored_codec(cb, proj, cfg)
     payload = [cb.entries.astype("<f4").tobytes()]
     for mat, bias in ((proj.encode_w, proj.encode_b), (proj.decode_w, proj.decode_b)):
         payload += [struct.pack("<II", *mat.shape), mat.astype("<f4").tobytes(), bias.astype("<f4").tobytes()]

@@ -19,19 +19,22 @@ its per-frame sums, divided by its element count. A frame's sum is
 parameters for ``l_param``, ``(v[i, idx] - v_hat[i, idx]) ** 2`` (vertex-major,
 coordinates innermost) for a region, and the same over all N vertices of the
 n-th forward differences for velocity (n = 1) and acceleration (n = 2), on
-zero-posed renders. A frame's sum does not depend on the frames around it,
-and ``fsum`` does not depend on the order it adds in, so any split of the
-clip into blocks gives the same bits.
+zero-posed renders. The accelerations are the forward differences of the
+velocities, which is how ``np.diff(v, 2)`` forms them, so they have its
+bits. A frame's sum does not depend on the frames around it, and ``fsum``
+does not depend on the order it adds in, so any split of the clip into
+blocks gives the same bits.
 
 ``total_losses`` walks the clip once in the forward model's blocks of
 ``_BLOCK_FRAMES`` frames. For the block [start, stop) it renders frames
 [max(start - 2, 0), stop) of both clips (batch invariance makes each row
 the whole-clip render's row) and writes each frame's sums into four
-per-frame arrays of length T, T, T-1 and T-2. The two frames rendered again
-finish the differences that end in the block, and the sums they rewrite get
-the same values. No whole-clip render, difference or squared-difference
-array is built: a call holds the per-frame sums and a few block-sized
-arrays.
+per-frame arrays of length T, T, T-1 and T-2. The block's velocities replace
+its renders once the region sums are taken, and its accelerations replace
+the velocities. The two frames rendered again finish the differences that
+end in the block, and the sums they rewrite get the same values. No
+whole-clip render, difference or squared-difference array is built: a call
+holds the per-frame sums and a few block-sized arrays.
 """
 
 from __future__ import annotations
@@ -119,11 +122,12 @@ def total_losses(
             d = np.take(v[start - lo :], idx, axis=1)
             d -= np.take(v_hat[start - lo :], idx, axis=1)
             _frame_sums(d, sums[start:stop])
-        for order, sums in enumerate(dyn_sums, 1):
-            # frames lo .. stop-order-1; any below start-order rewrite the last block's sums
-            d = np.diff(v, order, axis=0)
-            d -= np.diff(v_hat, order, axis=0)
-            _frame_sums(d, sums[lo : lo + len(d)])
+        for sums in dyn_sums:
+            # velocities, then accelerations from them, each replacing the arrays
+            # it is taken from; their sums start at frame lo, and those the last
+            # block wrote are rewritten with the same values
+            v, v_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
+            _frame_sums(v - v_hat, sums[lo : lo + len(v)])
     l_param = _mean(param_sums, m.params.shape[1])
     l_lips, l_face = (_mean(sums, idx.size * 3) for idx, sums in zip(regions, region_sums))
     l_vel, l_acc = (_mean(sums, n * 3) for sums in dyn_sums)

@@ -81,8 +81,12 @@ def _ufd(model: BlendshapeModel, v: np.ndarray, idx: np.ndarray) -> float:
     n = len(LANDMARK_NAMES)
     # the difference is a fresh C-contiguous array, so the reductions below
     # run in the same order whatever ``v``'s layout; zero parameters render
-    # to the template up to the sign of a zero, which the norm squares away
-    disp = np.linalg.norm(v[:, n:] - model.template[idx[n:]], axis=-1)
+    # to the template up to the sign of a zero, which the square takes away.
+    # Each length is sqrt((x² + y²) + z²), the sum np.linalg.norm forms.
+    sq = np.square(v[:, n:] - model.template[idx[n:]])
+    disp = sq[..., 0] + sq[..., 1]
+    disp += sq[..., 2]
+    np.sqrt(disp, out=disp)
     return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)
 
 

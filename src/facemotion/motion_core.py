@@ -20,13 +20,26 @@ There is one implementation of it, batched over frames:
 ``zero_posed=True`` skips the global rotation (zero-pose space, where losses
 and metrics are computed). ``vertices`` is an optional 1-D index array
 selecting N' output vertices in the given order. Frames are rendered in
-blocks of ``_BLOCK_FRAMES``: each block's whole mesh is computed and posed,
-and the subset is gathered from it, before the next block starts, so a call
-holds only its (T, N', 3) output and a few block-sized buffers. The result
-is batch-invariant and subset-invariant bit for bit: row i equals a 1-frame
-call on ``params[i]``, and a subset call equals the same columns of the full
-call. That invariance is what makes the blocking exact. Motion is only ever
-a (T, 58) array and vertices a (T, N', 3) array; one frame is a 1-row call.
+blocks of ``_BLOCK_FRAMES``, one block at a time, so a call holds only its
+(T, N', 3) output and a few block-sized buffers. A block goes through four
+steps:
+
+1. one blendshape product per frame writes its whole mesh, as a (k, 3N)
+   array, into the output (a full-mesh block with no posed frame) or into a
+   reused block buffer (a posed or subset block);
+2. the jaw region's coordinates are gathered as 3J contiguous columns of
+   that array, moved to the hinge, rotated per frame and written back
+   through the same columns;
+3. the global product of a full-mesh block whose every frame is posed is
+   written straight into the output; otherwise the block's posed frames
+   are rotated in place;
+4. a subset is gathered from the finished block.
+
+The result is batch-invariant and subset-invariant bit for bit: row i
+equals a 1-frame call on ``params[i]``, and a subset call equals the same
+columns of the full call. That invariance is what makes the blocking exact.
+Motion is only ever a (T, 58) array and vertices a (T, N', 3) array; one
+frame is a 1-row call.
 """
 
 from __future__ import annotations
@@ -240,9 +253,17 @@ def forward_batch(
     frame over the whole mesh. A rotation is applied only to frames whose
     pose is non-zero, since rotating by the identity is not exact.
 
-    The frames are processed in blocks of ``_BLOCK_FRAMES``. A full-mesh
-    call builds each block in place in its output; a subset call builds it
-    in one reused whole-mesh block buffer and gathers the subset from there.
+    The frames are processed in blocks of ``_BLOCK_FRAMES``, each built as
+    a whole-mesh ``(k, N, 3)`` array: the output itself for a full-mesh
+    block with no posed frame, a reused block buffer otherwise. The jaw
+    region's 3J coordinates are taken (``np.take``) as columns of the
+    block's ``(k, 3N)`` view; the hinge is subtracted and added back with
+    the joint tiled J times, so each is one pass over contiguous rows; the
+    rotated coordinates go back through the same columns. A region that is
+    empty or repeats vertices renders as any other. A block whose every
+    frame is posed takes its global product straight into the output, with
+    no gather or scatter; any other block rotates its posed frames in
+    place. A subset is gathered from the finished block.
     """
     p = finite_array(params, "params", ("T", FRAME_DIM))
     t, n = p.shape[0], model.num_vertices
@@ -252,27 +273,44 @@ def forward_batch(
     block = min(t, _BLOCK_FRAMES)
     expr_basis = model.expr_basis.reshape(3 * n, EXPRESSION_DIM)
     eyelid_basis = model.eyelid_basis.reshape(3 * n, EYELID_DIM)
+    jaw_size = model.jaw_region.size
+    jaw_cols = (3 * model.jaw_region[:, None] + np.arange(3)).ravel()
+    jaw_joint = np.tile(model.jaw_joint, jaw_size)
     eyelid = np.empty((block, n, 3))
-    mesh = None if out_idx is None else np.empty((block, n, 3))
+    mesh = None if out_idx is None and zero_posed else np.empty((block, n, 3))
     for start in range(0, t, _BLOCK_FRAMES):
         pb = p[start : start + _BLOCK_FRAMES]
         k = pb.shape[0]
-        v = out[start : start + k] if mesh is None else mesh[:k]
-        np.matmul(expr_basis, pb[:, EXPRESSION_SLICE, None], out=v.reshape(k, 3 * n, 1))
+        dest = out[start : start + k]
+        glob_on = np.empty(0, np.intp) if zero_posed else np.flatnonzero(np.any(pb[:, GLOBAL_SLICE], axis=1))
+        into_out = out_idx is None and glob_on.size == k  # the global product goes straight to the output
+        v = dest if out_idx is None and not into_out else mesh[:k]
+        flat = v.reshape(k, 3 * n)
+        np.matmul(expr_basis, pb[:, EXPRESSION_SLICE, None], out=flat[:, :, None])
         np.matmul(eyelid_basis, pb[:, EYELID_SLICE, None], out=eyelid[:k].reshape(k, 3 * n, 1))
         v += model.template
         v += eyelid[:k]
         jaw_on = np.flatnonzero(np.any(pb[:, JAW_SLICE], axis=1))
         if jaw_on.size:
-            sel = (jaw_on[:, None], model.jaw_region)
+            jaw = np.take(flat, jaw_cols, axis=1)
+            moved = jaw[jaw_on] if jaw_on.size < k else jaw
+            moved -= jaw_joint
             rot_t = axis_angle_matrix(pb[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
-            v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
-        glob_on = np.empty(0, np.intp) if zero_posed else np.flatnonzero(np.any(pb[:, GLOBAL_SLICE], axis=1))
+            moved = np.matmul(moved.reshape(jaw_on.size, jaw_size, 3), rot_t).reshape(moved.shape)
+            moved += jaw_joint
+            if jaw_on.size < k:  # the other frames keep their gathered values
+                jaw[jaw_on] = moved
+                moved = jaw
+            flat[:, jaw_cols] = moved
         if glob_on.size:
-            v[glob_on] = np.matmul(v[glob_on], axis_angle_matrix(pb[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1))
-        if mesh is not None:
-            np.take(v, out_idx, axis=1, out=out[start : start + k])
-        if not np.all(np.isfinite(out[start : start + k])):
+            rot_t = axis_angle_matrix(pb[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1)
+            if into_out:
+                np.matmul(v, rot_t, out=dest)
+            else:
+                v[glob_on] = np.matmul(v[glob_on], rot_t)
+        if out_idx is not None:
+            np.take(v, out_idx, axis=1, out=dest)
+        if not np.all(np.isfinite(dest)):
             raise ValueError("vertices contain non-finite values")
     return out
 

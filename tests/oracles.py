@@ -388,3 +388,71 @@ def smooth_same_mode(x: np.ndarray, window: int) -> np.ndarray:
         padded = np.concatenate([np.full(pad, x[0, c]), x[:, c], np.full(pad, x[-1, c])])
         out[:, c] = np.convolve(padded, kernel, mode="same")[pad:-pad]
     return out
+
+
+def _axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
+    """The library's Rodrigues matrices for (..., 3) axis-angle vectors, copied
+    as they were when the frame-blocked forward model was written."""
+    rvec = np.asarray(rvec, dtype=np.float64)
+    r = np.ascontiguousarray(rvec.reshape(-1, 3))
+    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    zero = theta == 0.0
+    axis = r / np.where(zero, 1.0, theta)[:, None]
+    k_cross = np.zeros((r.shape[0], 3, 3))
+    k_cross[:, 0, 1], k_cross[:, 0, 2] = -axis[:, 2], axis[:, 1]
+    k_cross[:, 1, 0], k_cross[:, 1, 2] = axis[:, 2], -axis[:, 0]
+    k_cross[:, 2, 0], k_cross[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    rot = (
+        np.eye(3)
+        + np.sin(theta)[:, None, None] * k_cross
+        + (1.0 - np.cos(theta))[:, None, None] * np.matmul(k_cross, k_cross)
+    )
+    rot[zero] = np.eye(3)
+    return rot.reshape(rvec.shape[:-1] + (3, 3))
+
+
+def forward_batch_gather_scatter(model, params, zero_posed: bool = False, vertices=None) -> np.ndarray:
+    """The frame-blocked forward model as first written, with 2-D fancy-index
+    gathers and scatters: the jaw region through ``(frames[:, None], region)``
+    and posed frames through ``v[frames]``, every block built in its output
+    (or, for a subset, in a whole-mesh buffer). It pins the library's bits,
+    since its BLAS calls have the same shapes and its elementwise arithmetic
+    the same operands. Inputs are taken as valid."""
+    p = np.asarray(params, dtype=np.float64)
+    t, n = p.shape[0], model.template.shape[0]
+    out_idx = None if vertices is None else np.asarray(vertices, dtype=np.intp)
+    block_frames = 128
+
+    out = np.empty((t, n if out_idx is None else out_idx.size, 3))
+    block = min(t, block_frames)
+    expr_basis = model.expr_basis.reshape(3 * n, 50)
+    eyelid_basis = model.eyelid_basis.reshape(3 * n, 2)
+    eyelid = np.empty((block, n, 3))
+    mesh = None if out_idx is None else np.empty((block, n, 3))
+    for start in range(0, t, block_frames):
+        pb = p[start : start + block_frames]
+        k = pb.shape[0]
+        v = out[start : start + k] if mesh is None else mesh[:k]
+        np.matmul(expr_basis, pb[:, 0:50, None], out=v.reshape(k, 3 * n, 1))
+        np.matmul(eyelid_basis, pb[:, 56:58, None], out=eyelid[:k].reshape(k, 3 * n, 1))
+        v += model.template
+        v += eyelid[:k]
+        jaw_on = np.flatnonzero(np.any(pb[:, 50:53], axis=1))
+        if jaw_on.size:
+            sel = (jaw_on[:, None], model.jaw_region)
+            rot_t = _axis_angle_matrix(pb[jaw_on, 50:53]).transpose(0, 2, 1)
+            v[sel] = np.matmul(v[sel] - model.jaw_joint, rot_t) + model.jaw_joint
+        glob_on = np.empty(0, np.intp) if zero_posed else np.flatnonzero(np.any(pb[:, 53:56], axis=1))
+        if glob_on.size:
+            v[glob_on] = np.matmul(v[glob_on], _axis_angle_matrix(pb[glob_on, 53:56]).transpose(0, 2, 1))
+        if mesh is not None:
+            np.take(v, out_idx, axis=1, out=out[start : start + k])
+    return out
+
+
+def upper_face_dynamics_norm(model, v: np.ndarray, idx: np.ndarray) -> float:
+    """UFD with each displacement's length from ``np.linalg.norm``, the form
+    the metric had before it summed the squared coordinates itself."""
+    n = 4  # the mouth landmarks lead ``idx``
+    disp = np.linalg.norm(v[:, n:] - model.template[idx[n:]], axis=-1)
+    return float(np.mean(np.abs(np.diff(disp, axis=0))) * 1e5)

@@ -147,6 +147,20 @@ def test_fit_codec_residual_norms_equal_encode_of_the_saved_file(tmp_path):
     assert fitted["residual_norms"] == encoded["residual_norms"]  # floats survive JSON bit for bit
 
 
+def test_fit_codec_that_runs_out_of_memory_in_its_report_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the report is built from the codec in memory, and the codebook written after it
+    data = gen(tmp_path)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the report")
+
+    monkeypatch.setattr(rvq, "commitment_loss", out_of_memory)
+    out = tmp_path / "codec"
+    assert run("fit-codec", "--out", out, "--motion", data / "motion.a2mo", "--levels", 1, "--codebook-size", 4) == 4
+    assert "facemotion fit-codec: out of memory: Unable to allocate the report" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_fit_codec_manifest_reports_each_levels_fit(tmp_path):
     out = gen(tmp_path, frames=60)
     cb_path = fit(tmp_path, out / "motion.a2mo", levels=3, codebook_size=8, latent_dim=16)

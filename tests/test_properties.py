@@ -1,11 +1,12 @@
-"""Property tests (hypothesis) for the batched forward model, the streamed
-loss terms, peak picking, the nearest-codeword search, k-means++ seeding,
-Lloyd refinement against a Lloyd that rescores every step, the stream's
-retrieval predictor, the binary and text loaders, and the exit codes of
-``cli.main``."""
+"""Property tests (hypothesis) for the batched forward model and UFD against
+their oracles, the streamed loss terms, peak picking, the nearest-codeword
+search, k-means++ seeding, Lloyd refinement against a Lloyd that rescores
+every step, the stream's retrieval predictor, the binary and text loaders,
+and the exit codes of ``cli.main``."""
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from facemotion import cli, fileio, losses, metrics, rvq, streamsim  # noqa: E402
+from facemotion import cli, fileio, losses, metrics, rvq, streamsim, synth  # noqa: E402
 from facemotion import motion_core as mc  # noqa: E402
 from facemotion.errors import FormatError  # noqa: E402
 from test_fileio import LOADERS, _valid_blob, _valid_csv_lines, _valid_model_doc  # noqa: E402
@@ -60,6 +61,56 @@ def test_forward_batch_rows_and_subsets_are_bit_exact(seed0_model, t, seed, p_ja
     sub = mc.forward_batch(seed0_model, params, zero_posed=zero_posed, vertices=subset)
     assert sub.flags.c_contiguous
     assert _bits(sub) == _bits(full[:, subset])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_model(n, jaw):
+    # 3N = 51 and 111 leave rows that are not a multiple of 4 values long
+    model = synth.make_model(synth.SynthConfig(seed=n, num_vertices=n))
+    jaw_region = {
+        "model": model.jaw_region,
+        "empty": np.empty(0, np.intp),
+        "one": model.jaw_region[-1:],
+        "repeats": np.concatenate([model.jaw_region[::-2], model.jaw_region[:3]]),  # unsorted, with repeats
+    }[jaw]
+    return dataclasses.replace(model, jaw_region=jaw_region)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([17, 37, 200]),
+    jaw=st.sampled_from(["model", "empty", "one", "repeats"]),
+    t=st.sampled_from([1, 2, 25, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    p_jaw=st.sampled_from([0.0, 0.5, 1.0]),
+    p_global=st.sampled_from([0.0, 0.5, 1.0]),
+    zero_posed=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=17, jaw="empty", t=BLOCK + 1, p_jaw=1.0, p_global=0.5, zero_posed=False, dtype=np.float64, seed=0)
+@example(n=37, jaw="repeats", t=2 * BLOCK + 1, p_jaw=0.5, p_global=1.0, zero_posed=False, dtype=np.float32, seed=1)
+def test_forward_batch_and_ufd_match_the_gather_scatter_oracle_bit_for_bit(n, jaw, t, p_jaw, p_global, zero_posed,
+                                                                           dtype, seed):
+    # the oracle is the forward model before its blocks moved data through
+    # contiguous column copies, and the norm form of UFD before its sums
+    # were spelled out: the same arithmetic, so every byte must agree
+    model = _oracle_model(n, jaw)
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-0.3, 0.3, size=(t, 58))
+    params[rng.random(t) >= p_jaw, 50:53] = 0.0
+    params[rng.random(t) >= p_global, 53:56] = 0.0
+    params = params.astype(dtype)
+    subset = rng.choice(n, size=rng.integers(1, 12))
+    subset = rng.permutation(np.append(subset, subset[0]))  # at least one repeat
+    for vertices in (None, subset):
+        got = mc.forward_batch(model, params, zero_posed=zero_posed, vertices=vertices)
+        want = oracles.forward_batch_gather_scatter(model, params, zero_posed=zero_posed, vertices=vertices)
+        assert got.shape == want.shape
+        assert _bits(got) == _bits(want)
+    if t >= 2:
+        idx = metrics._scored_vertices(model)
+        v = mc.forward_batch(model, params, zero_posed=True, vertices=idx)
+        assert _bits(metrics._ufd(model, v, idx)) == _bits(oracles.upper_face_dynamics_norm(model, v, idx))
 
 
 def _terms(report):
