@@ -21,18 +21,22 @@ There is one implementation of it, batched over frames:
 and metrics are computed). ``vertices`` is an optional 1-D index array
 selecting N' output vertices in the given order. Frames are rendered in
 blocks of ``_BLOCK_FRAMES``, one block at a time, so a call holds only its
-(T, N', 3) output and a few block-sized buffers. A block goes through four
-steps:
+(T, N', 3) output and a few block-sized buffers. One pose mask per block
+picks its jaw-posed and its globally posed frames, and one Rodrigues call
+(``axis_angle_matrix``) gives all their rotations, jaw rows first. Then a
+block goes through four steps:
 
 1. one blendshape product per frame writes its whole mesh, as a (k, 3N)
    array, into the output (a full-mesh block with no posed frame) or into a
    reused block buffer (a posed or subset block);
 2. the jaw region's coordinates are gathered as 3J contiguous columns of
-   that array, moved to the hinge, rotated per frame and written back
-   through the same columns;
-3. the global product of a full-mesh block whose every frame is posed is
-   written straight into the output; otherwise the block's posed frames
-   are rotated in place;
+   that array, moved to the hinge, rotated per frame by the call's jaw rows
+   and written back through the same columns; the columns and the tiled
+   hinge are laid out once per model (``BlendshapeModel.jaw_cols`` and
+   ``jaw_hinge``);
+3. the call's global rows rotate the block: the global product of a
+   full-mesh block whose every frame is posed is written straight into the
+   output; otherwise the block's posed frames are rotated in place;
 4. a subset is gathered from the finished block.
 
 The result is batch-invariant and subset-invariant bit for bit: row i
@@ -45,7 +49,7 @@ frame is a 1-row call.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -138,27 +142,39 @@ def _vertex_indices(value, name: str, n: int) -> np.ndarray:
     return idx
 
 
+# The identity, and the skew matrix K of a unit axis a as one index table:
+# flat entry _CROSS[0] of K is a[_CROSS[1]] times _CROSS[2], so that
+# K = [[0, -a2, a1], [a2, 0, -a0], [-a1, a0, 0]] (a product by -1 is exact negation).
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
+_CROSS = np.array([[1, 2, 3, 5, 6, 7], [2, 1, 2, 0, 1, 0], [-1, 1, 1, -1, -1, 1]])
+
+
 def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
     """Rotation matrices for axis-angle vectors of shape (..., 3) via the
     Rodrigues formula; the result has shape (..., 3, 3).
 
     The rotation angle is the vector norm; a zero vector maps to the identity.
+    Each row's matrix is computed from that row alone, so any split of a batch
+    into calls gives the same bits on the SkylakeX and Haswell OpenBLAS kernels
+    (not on Prescott, whose 3-vector products depend on where a row sits in
+    memory).
     """
     rvec = np.asarray(rvec, dtype=np.float64)
     r = np.ascontiguousarray(rvec.reshape(-1, 3))
     theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
     zero = theta == 0.0
     axis = r / np.where(zero, 1.0, theta)[:, None]
-    k_cross = np.zeros((r.shape[0], 3, 3))
-    k_cross[:, 0, 1], k_cross[:, 0, 2] = -axis[:, 2], axis[:, 1]
-    k_cross[:, 1, 0], k_cross[:, 1, 2] = axis[:, 2], -axis[:, 0]
-    k_cross[:, 2, 0], k_cross[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    k_cross = np.zeros((r.shape[0], 9))
+    k_cross[:, _CROSS[0]] = axis[:, _CROSS[1]] * _CROSS[2]
+    k_cross = k_cross.reshape(-1, 3, 3)
     rot = (
-        np.eye(3)
+        _IDENTITY
         + np.sin(theta)[:, None, None] * k_cross
         + (1.0 - np.cos(theta))[:, None, None] * np.matmul(k_cross, k_cross)
     )
-    rot[zero] = np.eye(3)
+    if zero.any():
+        rot[zero] = _IDENTITY
     return rot.reshape(rvec.shape[:-1] + (3, 3))
 
 
@@ -195,7 +211,11 @@ class BlendshapeModel:
     ``lips``, ``face`` and ``upper_face`` sets, with lips a subset of face and
     upper_face disjoint from lips. ``landmarks`` maps names to vertex indices
     and must hold every name in ``LANDMARK_NAMES``. Further sets are allowed.
-    Every index passes ``_vertex_indices`` when the model is built.
+    Every index passes ``_vertex_indices`` when the model is built, which
+    also lays out the jaw region for ``forward_batch``: ``jaw_cols``, its 3J
+    coordinate columns in a (3N,) mesh row, and ``jaw_hinge``, the joint
+    tiled J times. They are derived fields, rebuilt by every construction
+    (``dataclasses.replace`` included), and are not compared or printed.
     """
 
     template: np.ndarray
@@ -205,6 +225,8 @@ class BlendshapeModel:
     jaw_region: np.ndarray
     regions: Dict[str, np.ndarray]
     landmarks: Dict[str, int]
+    jaw_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    jaw_hinge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.template = finite_array(self.template, "template", ("N", 3))
@@ -213,6 +235,8 @@ class BlendshapeModel:
         self.eyelid_basis = finite_array(self.eyelid_basis, "eyelid_basis", (n, 3, EYELID_DIM))
         self.jaw_joint = finite_array(self.jaw_joint, "jaw_joint", (3,))
         self.jaw_region = _vertex_indices(self.jaw_region, "jaw_region", n)
+        self.jaw_cols = (3 * self.jaw_region[:, None] + np.arange(3)).ravel()
+        self.jaw_hinge = np.tile(self.jaw_joint, self.jaw_region.size)
         self.regions = {k: _vertex_indices(v, f"region '{k}'", n) for k, v in self.regions.items()}
         self.landmarks = {k: int(_vertex_indices([v], f"landmark '{k}'", n)[0]) for k, v in self.landmarks.items()}
         for kind, names, sets in (("region", REGION_NAMES, self.regions), ("landmark", LANDMARK_NAMES, self.landmarks)):
@@ -255,15 +279,22 @@ def forward_batch(
 
     The frames are processed in blocks of ``_BLOCK_FRAMES``, each built as
     a whole-mesh ``(k, N, 3)`` array: the output itself for a full-mesh
-    block with no posed frame, a reused block buffer otherwise. The jaw
-    region's 3J coordinates are taken (``np.take``) as columns of the
-    block's ``(k, 3N)`` view; the hinge is subtracted and added back with
-    the joint tiled J times, so each is one pass over contiguous rows; the
-    rotated coordinates go back through the same columns. A region that is
-    empty or repeats vertices renders as any other. A block whose every
-    frame is posed takes its global product straight into the output, with
-    no gather or scatter; any other block rotates its posed frames in
-    place. A subset is gathered from the finished block.
+    block with no posed frame, a reused block buffer otherwise. One pose
+    mask per block selects the jaw-posed and the globally posed frames, and
+    one ``axis_angle_matrix`` call on the jaw rows followed by the global
+    rows gives every rotation of the block; each product takes its slice of
+    the transposed result, with the shape and strides of a separate call,
+    and the rows of that call do not depend on which rows share it. A
+    zero-posed render passes the jaw rows only. The jaw region's 3J
+    coordinates are taken (``np.take``) through the model's ``jaw_cols`` as
+    columns of the block's ``(k, 3N)`` view; the hinge is subtracted and
+    added back as the model's ``jaw_hinge`` (the joint tiled J times), so
+    each is one pass over contiguous rows; the rotated coordinates go back
+    through the same columns. A region that is empty or repeats vertices
+    renders as any other. A block whose every frame is posed takes its
+    global product straight into the output, with no gather or scatter;
+    any other block rotates its posed frames in place. A subset is gathered
+    from the finished block.
     """
     p = finite_array(params, "params", ("T", FRAME_DIM))
     t, n = p.shape[0], model.num_vertices
@@ -273,16 +304,19 @@ def forward_batch(
     block = min(t, _BLOCK_FRAMES)
     expr_basis = model.expr_basis.reshape(3 * n, EXPRESSION_DIM)
     eyelid_basis = model.eyelid_basis.reshape(3 * n, EYELID_DIM)
-    jaw_size = model.jaw_region.size
-    jaw_cols = (3 * model.jaw_region[:, None] + np.arange(3)).ravel()
-    jaw_joint = np.tile(model.jaw_joint, jaw_size)
     eyelid = np.empty((block, n, 3))
     mesh = None if out_idx is None and zero_posed else np.empty((block, n, 3))
     for start in range(0, t, _BLOCK_FRAMES):
         pb = p[start : start + _BLOCK_FRAMES]
         k = pb.shape[0]
         dest = out[start : start + k]
-        glob_on = np.empty(0, np.intp) if zero_posed else np.flatnonzero(np.any(pb[:, GLOBAL_SLICE], axis=1))
+        posed = pb[:, JAW_SLICE.start : GLOBAL_SLICE.stop].reshape(k, 2, 3).any(axis=2)  # (k, [jaw, global])
+        jaw_on = posed[:, 0].nonzero()[0]
+        glob_on = np.empty(0, np.intp) if zero_posed else posed[:, 1].nonzero()[0]
+        if jaw_on.size or glob_on.size:  # one Rodrigues call: jaw rows, then global rows
+            rvecs = np.concatenate((pb[jaw_on, JAW_SLICE], pb[glob_on, GLOBAL_SLICE]))
+            rot_t = axis_angle_matrix(rvecs).transpose(0, 2, 1)
+            jaw_rot_t, glob_rot_t = rot_t[: jaw_on.size], rot_t[jaw_on.size :]
         into_out = out_idx is None and glob_on.size == k  # the global product goes straight to the output
         v = dest if out_idx is None and not into_out else mesh[:k]
         flat = v.reshape(k, 3 * n)
@@ -290,24 +324,21 @@ def forward_batch(
         np.matmul(eyelid_basis, pb[:, EYELID_SLICE, None], out=eyelid[:k].reshape(k, 3 * n, 1))
         v += model.template
         v += eyelid[:k]
-        jaw_on = np.flatnonzero(np.any(pb[:, JAW_SLICE], axis=1))
         if jaw_on.size:
-            jaw = np.take(flat, jaw_cols, axis=1)
+            jaw = np.take(flat, model.jaw_cols, axis=1)
             moved = jaw[jaw_on] if jaw_on.size < k else jaw
-            moved -= jaw_joint
-            rot_t = axis_angle_matrix(pb[jaw_on, JAW_SLICE]).transpose(0, 2, 1)
-            moved = np.matmul(moved.reshape(jaw_on.size, jaw_size, 3), rot_t).reshape(moved.shape)
-            moved += jaw_joint
+            moved -= model.jaw_hinge
+            moved = np.matmul(moved.reshape(jaw_on.size, model.jaw_region.size, 3), jaw_rot_t).reshape(moved.shape)
+            moved += model.jaw_hinge
             if jaw_on.size < k:  # the other frames keep their gathered values
                 jaw[jaw_on] = moved
                 moved = jaw
-            flat[:, jaw_cols] = moved
+            flat[:, model.jaw_cols] = moved
         if glob_on.size:
-            rot_t = axis_angle_matrix(pb[glob_on, GLOBAL_SLICE]).transpose(0, 2, 1)
             if into_out:
-                np.matmul(v, rot_t, out=dest)
+                np.matmul(v, glob_rot_t, out=dest)
             else:
-                v[glob_on] = np.matmul(v[glob_on], rot_t)
+                v[glob_on] = np.matmul(v[glob_on], glob_rot_t)
         if out_idx is not None:
             np.take(v, out_idx, axis=1, out=dest)
         if not np.all(np.isfinite(dest)):

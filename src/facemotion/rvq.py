@@ -424,10 +424,10 @@ def fit_codec(corpus: Sequence[MotionSequence], cfg: QuantizerConfig, return_his
     return_history (proj, cb, per-level Lloyd distortions).
     """
     proj = fit_projections(corpus, cfg)
-    latents = shifted_windows(corpus, cfg) @ proj.encode_w.T + proj.encode_b
-    if return_history:
-        return (proj, *train_codebooks(latents, cfg, return_history=True))
-    return proj, train_codebooks(latents, cfg)
+    latents = shifted_windows(corpus, cfg) @ proj.encode_w.T
+    latents += proj.encode_b
+    trained = _train_levels(latents, cfg)  # the latents become the last residuals
+    return (proj, *trained) if return_history else (proj, trained[0])
 
 
 # Trial points per greedy k-means++ step (Arthur & Vassilvitskii, 2007,
@@ -592,9 +592,15 @@ def train_codebooks(latents: np.ndarray, cfg: QuantizerConfig, return_history: b
     vectors = np.asarray(latents, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training batch must be a nonempty (M, d_z) array")
+    cb, histories = _train_levels(vectors.copy(), cfg)
+    return (cb, histories) if return_history else cb
+
+
+def _train_levels(residual: np.ndarray, cfg: QuantizerConfig) -> Tuple[Codebook, List[List[float]]]:
+    """``train_codebooks`` on a nonempty (M, d_z) float64 batch that it overwrites with the
+    residuals the levels leave. Returns the codebook and each level's Lloyd distortions."""
     k = cfg.codebook_size
-    residual = vectors.copy()
-    entries = np.empty((cfg.num_levels, k, vectors.shape[1]))
+    entries = np.empty((cfg.num_levels, k, residual.shape[1]))
     usage = np.empty((cfg.num_levels, k))
     histories: List[List[float]] = []
     for j in range(cfg.num_levels):
@@ -605,10 +611,7 @@ def train_codebooks(latents: np.ndarray, cfg: QuantizerConfig, return_history: b
         usage[j] = np.bincount(idx, minlength=k)
         histories.append(history)
         residual -= centers[idx]
-    cb = Codebook(entries, usage)
-    if return_history:
-        return cb, histories
-    return cb
+    return Codebook(entries, usage), histories
 
 
 def commitment_loss(z: LatentSequence, q: LatentSequence, gamma: float) -> Tuple[float, float, float]:

@@ -9,7 +9,8 @@ arrays of T values), so their peak, 0.36 arrays, is the block-sized renders
 and differences: about five and a half arrays of 130 frames, since a block's
 velocities replace its renders and its accelerations the velocities.
 Codebook training counts in units of one (n, K) float64 score array, n being
-the number of training windows."""
+the number of training windows, and a whole codec fit in units of one
+(n, d_z) latent array."""
 
 import tracemalloc
 
@@ -70,3 +71,15 @@ def test_train_codebooks_peak_in_score_arrays(frames, bound):
     assert latents.shape[0] == frames
     peak = _peak_bytes(lambda: rvq.train_codebooks(latents, cfg))
     assert peak / (frames * cfg.codebook_size * 8) <= bound
+
+
+def test_fit_codec_peak_in_latent_arrays():
+    # a default fit on every shift of a 2000-frame clip: fit_codec trains on
+    # the latents it makes and overwrites them with the residuals, where
+    # train_codebooks trains on a copy of its input. Measured 3.54 arrays
+    # (14.50 MB); 4.54 with the bias added out of place and the latents copied
+    motion = synth.make_motion(synth.SynthConfig(seed=1, duration_frames=FRAMES))
+    cfg = rvq.QuantizerConfig()
+    assert rvq.shifted_windows([motion], cfg).shape[0] == FRAMES
+    peak = _peak_bytes(lambda: rvq.fit_codec([motion], cfg))
+    assert peak / (FRAMES * cfg.latent_dim * 8) <= 3.65

@@ -323,3 +323,19 @@ def test_model_basis_shape_mismatch_raises():
             regions={"lips": np.array([0]), "face": np.array([0]), "upper_face": np.array([1])},
             landmarks={"upper_lip": 0, "lower_lip": 1, "left_corner": 2, "right_corner": 3},
         )
+
+
+def test_replaced_jaw_fields_render_as_a_model_built_with_them(seed0_model, seed0_motion):
+    # the model lays out its jaw region once, when built; a model made by
+    # dataclasses.replace must lay out its own region and hinge, not keep the old ones
+    region = np.concatenate([seed0_model.jaw_region[::-2], seed0_model.regions["lips"][:3]])
+    joint = seed0_model.jaw_joint + np.array([0.01, -0.02, 0.005])
+    replaced = dataclasses.replace(seed0_model, jaw_region=region, jaw_joint=joint)
+    fields = {f.name: getattr(seed0_model, f.name) for f in dataclasses.fields(seed0_model) if f.init}
+    built = mc.BlendshapeModel(**{**fields, "jaw_region": region, "jaw_joint": joint})
+    params = seed0_motion.params[:40]
+    assert (params[:, mc.JAW_SLICE] != 0).any(axis=1).all()
+    for zero_posed in (False, True):
+        got = mc.forward_batch(replaced, params, zero_posed=zero_posed)
+        assert got.tobytes() == mc.forward_batch(built, params, zero_posed=zero_posed).tobytes()
+        assert got.tobytes() != mc.forward_batch(seed0_model, params, zero_posed=zero_posed).tobytes()

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) for the batched forward model and UFD against
-their oracles, the streamed loss terms, peak picking, the nearest-codeword
+their oracles, the Rodrigues matrices against theirs and any split of their
+batch, the streamed loss terms, peak picking, the nearest-codeword
 search, k-means++ seeding, Lloyd refinement against a Lloyd that rescores
 every step, the stream's retrieval predictor, the binary and text loaders,
 and the exit codes of ``cli.main``."""
@@ -111,6 +112,42 @@ def test_forward_batch_and_ufd_match_the_gather_scatter_oracle_bit_for_bit(n, ja
         idx = metrics._scored_vertices(model)
         v = mc.forward_batch(model, params, zero_posed=True, vertices=idx)
         assert _bits(metrics._ufd(model, v, idx)) == _bits(oracles.upper_face_dynamics_norm(model, v, idx))
+
+
+# axis-angle components: signed zeros, a subnormal, values whose squares
+# underflow or are subnormal, small and large angles
+_AXIS_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-160, 1e-8, np.pi, -2 * np.pi]),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_AXIS_COMPONENT, _AXIS_COMPONENT, _AXIS_COMPONENT), max_size=12),
+    n_random=st.integers(0, 2 * BLOCK),
+    scale=st.sampled_from([1e-8, 0.3, 4.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(rows=[(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (1e-170, 0.0, -0.0), (5e-324, -0.0, 0.0), (0.0, 0.0, 1e-8),
+               (1e150, -1e150, 3.0), (-0.0, np.pi, -0.0)], n_random=9, scale=0.3, seed=0, data=None)
+def test_axis_angle_matrix_matches_the_oracle_and_any_split_of_its_batch(rows, n_random, scale, seed, data):
+    # forward_batch rotates a block's jaw rows and global rows (up to two
+    # blocks of rows) in one call and slices the result, so each row's bits,
+    # sign bits included, must not depend on the rows that share its call
+    # nor on where in memory the row sits: each part is a fresh array
+    rng = np.random.default_rng(seed)
+    r = np.concatenate((np.array(rows).reshape(-1, 3), rng.uniform(-scale, scale, (n_random, 3))))
+    r = r[rng.permutation(len(r))]
+    got = mc.axis_angle_matrix(r)
+    assert got.shape == (len(r), 3, 3)
+    assert _bits(got) == _bits(oracles._axis_angle_matrix(r))
+    cuts = range(len(r) + 1) if data is None else [data.draw(st.integers(0, len(r)), label="cut")]
+    for cut in cuts:
+        split = np.concatenate((mc.axis_angle_matrix(r[:cut].copy()), mc.axis_angle_matrix(r[cut:].copy())))
+        assert _bits(split) == _bits(got), f"cut {cut}"
 
 
 def _terms(report):
