@@ -138,19 +138,36 @@ def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = MetricsCon
     return s_pred / (s_gt + epsilon)
 
 
-def _prominence_floor(x: np.ndarray) -> np.ndarray:
-    """For each sample, the minimum of x from just after the nearest strictly
-    higher sample to its left (or the signal start) up to and including
-    itself. One pass with a stack of (index, minimum of the span it covers)."""
-    floor = np.empty(x.size)
-    stack: List[Tuple[float, float]] = []
-    for i, xi in enumerate(x.tolist()):
-        low = xi
-        while stack and stack[-1][0] <= xi:
-            low = min(low, stack.pop()[1])
-        floor[i] = low
-        stack.append((xi, low))
-    return floor
+def _prominence_floors(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """For each sample index in ``idx``, the higher of its two valley floors:
+    on each side, the minimum of x from the sample itself outward to just
+    before the nearest strictly higher sample (or to the signal edge).
+
+    Sparse tables hold the maximum and the minimum of every run of 2**l
+    samples. Each sample's span grows on each side by runs of 2**l, l
+    falling, while a run's maximum is no higher than the sample, and its
+    floor is the least of the added runs' minima. A maximum and a minimum
+    are exact, so the floors are those of a sample-by-sample scan."""
+    n = x.size
+    highs, lows = [x], [x]  # [l][j]: the maximum and the minimum of x[j : j + 2**l]
+    while 1 << len(highs) <= n:
+        w = 1 << (len(highs) - 1)
+        highs.append(np.maximum(highs[-1][:-w], highs[-1][w:]))
+        lows.append(np.minimum(lows[-1][:-w], lows[-1][w:]))
+    xi = x[idx]
+    lo, hi = idx.copy(), idx.copy()  # each span is x[lo : hi + 1]
+    left, right = xi.copy(), xi.copy()
+    for lv in range(len(highs) - 1, -1, -1):
+        w = 1 << lv
+        run = np.maximum(lo - w, 0)  # the run of 2**lv samples just before the span
+        grow = (lo >= w) & (highs[lv][run] <= xi)
+        lo -= w * grow
+        np.minimum(left, lows[lv][run], out=left, where=grow)
+        run = np.minimum(hi + 1, n - w)  # the run just after it
+        grow = (hi + w < n) & (highs[lv][run] <= xi)
+        hi += w * grow
+        np.minimum(right, lows[lv][run], out=right, where=grow)
+    return np.maximum(left, right)
 
 
 def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -> np.ndarray:
@@ -161,7 +178,8 @@ def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -
     higher sample (or the signal edge); peaks below min_prominence_frac of
     the signal range are dropped. Remaining peaks are kept tallest-first
     (ties to the lower index), discarding any within min_distance frames of
-    an already kept peak. Runs in time linear in the signal length.
+    an already kept peak. The floors are found for the candidates only
+    (``_prominence_floors``), in time O(n log n) for n samples.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -172,8 +190,7 @@ def detect_peaks(x: np.ndarray, min_prominence_frac: float, min_distance: int) -
         return np.empty(0, dtype=np.int64)
     cand = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
     threshold = min_prominence_frac * rng_span
-    floor = np.maximum(_prominence_floor(x), _prominence_floor(x[::-1])[::-1])
-    kept = cand[x[cand] - floor[cand] >= threshold]
+    kept = cand[x[cand] - _prominence_floors(x, cand) >= threshold]
 
     blocked = np.zeros(n, dtype=bool)
     accepted = np.zeros(n, dtype=bool)
@@ -192,7 +209,10 @@ def peak_align(o_pred: np.ndarray, o_gt: np.ndarray, cfg: MetricsConfig, fps: fl
     p_gt = detect_peaks(o_gt, cfg.peak_min_prominence, cfg.peak_min_distance)
     if p_pred.size == 0 or p_gt.size == 0:
         return None
-    diffs = np.array([np.min(np.abs(p_pred - g)) for g in p_gt], dtype=np.float64)
+    after = np.searchsorted(p_pred, p_gt)  # the nearest predicted peak is the one before or this one
+    before = p_pred[np.maximum(after - 1, 0)]
+    after = p_pred[np.minimum(after, p_pred.size - 1)]
+    diffs = np.minimum(np.abs(p_gt - before), np.abs(after - p_gt)).astype(np.float64)
     return float(np.median(diffs) * 1000.0 / fps)
 
 

@@ -26,9 +26,13 @@ picks its jaw-posed and its globally posed frames, and one Rodrigues call
 (``axis_angle_matrix``) gives all their rotations, jaw rows first. Then a
 block goes through four steps:
 
-1. one blendshape product per frame writes its whole mesh, as a (k, 3N)
+1. the blendshape products write the block's whole mesh, as a (k, 3N)
    array, into the output (a full-mesh block with no posed frame) or into a
-   reused block buffer (a posed or subset block);
+   reused block buffer (a posed or subset block), and the template is
+   added. Each product is one (32, 58) @ (58, 3N) GEMM of a tile of
+   ``_TILE_FRAMES`` params rows by the model's ``frame_basis``: a full tile
+   reads its rows in place, and the call's short last tile is copied into a
+   zero tile, whose product keeps only its rows;
 2. the jaw region's coordinates are gathered as 3J contiguous columns of
    that array, moved to the hinge, rotated per frame by the call's jaw rows
    and written back through the same columns; the columns and the tiled
@@ -42,8 +46,9 @@ block goes through four steps:
 The result is batch-invariant and subset-invariant bit for bit: row i
 equals a 1-frame call on ``params[i]``, and a subset call equals the same
 columns of the full call. That invariance is what makes the blocking exact.
-Motion is only ever a (T, 58) array and vertices a (T, N', 3) array; one
-frame is a 1-row call.
+It holds on OpenBLAS's SkylakeX, Haswell and Prescott kernels, at one and
+at two threads. Motion is only ever a (T, 58) array and vertices a
+(T, N', 3) array; one frame is a 1-row call.
 """
 
 from __future__ import annotations
@@ -82,6 +87,10 @@ REGION_NAMES = ("lips", "face", "upper_face")
 # enough that a block of the whole mesh is a small share of a long clip's
 # output.
 _BLOCK_FRAMES = 128
+# Frames per blendshape product: every product is a (32, 58) @ (58, 3N) GEMM,
+# so a frame's bits never depend on how many frames share its call. 32 divides
+# _BLOCK_FRAMES and holds a 25-frame stream segment in one tile.
+_TILE_FRAMES = 32
 
 # The frame rate a sequence or a synthetic clip gets when none is given.
 DEFAULT_FPS = 25.0
@@ -131,6 +140,13 @@ def finite_array(value, name: str, shape) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous copy of ``arr``, shared with no caller."""
+    arr = np.array(arr, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _vertex_indices(value, name: str, n: int) -> np.ndarray:
     """The vertex-index rule: ``value`` as a 1-D intp array whose every entry is in [0, n).
     IncompatibleShapeError or ModelConfigError naming ``name`` otherwise."""
@@ -150,19 +166,25 @@ _IDENTITY.flags.writeable = False
 _CROSS = np.array([[1, 2, 3, 5, 6, 7], [2, 1, 2, 0, 1, 0], [-1, 1, 1, -1, -1, 1]])
 
 
+def _norm3(d: np.ndarray) -> np.ndarray:
+    """The length of each 3-vector of a (..., 3) array, as sqrt((x² + y²) + z²) in elementwise
+    steps, so that each length depends on its own vector's values alone, not on where it sits in
+    memory or which vectors share the call."""
+    sq = np.square(d)
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+
+
 def axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
     """Rotation matrices for axis-angle vectors of shape (..., 3) via the
     Rodrigues formula; the result has shape (..., 3, 3).
 
-    The rotation angle is the vector norm; a zero vector maps to the identity.
-    Each row's matrix is computed from that row alone, so any split of a batch
-    into calls gives the same bits on the SkylakeX and Haswell OpenBLAS kernels
-    (not on Prescott, whose 3-vector products depend on where a row sits in
-    memory).
+    The rotation angle is the vector norm, ``_norm3``; a zero vector maps to
+    the identity. Each row's matrix is computed from that row alone, so any
+    split of a batch into calls gives the same bits.
     """
     rvec = np.asarray(rvec, dtype=np.float64)
-    r = np.ascontiguousarray(rvec.reshape(-1, 3))
-    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    r = rvec.reshape(-1, 3)
+    theta = _norm3(r)
     zero = theta == 0.0
     axis = r / np.where(zero, 1.0, theta)[:, None]
     k_cross = np.zeros((r.shape[0], 9))
@@ -212,10 +234,15 @@ class BlendshapeModel:
     upper_face disjoint from lips. ``landmarks`` maps names to vertex indices
     and must hold every name in ``LANDMARK_NAMES``. Further sets are allowed.
     Every index passes ``_vertex_indices`` when the model is built, which
-    also lays out the jaw region for ``forward_batch``: ``jaw_cols``, its 3J
-    coordinate columns in a (3N,) mesh row, and ``jaw_hinge``, the joint
-    tiled J times. They are derived fields, rebuilt by every construction
-    (``dataclasses.replace`` included), and are not compared or printed.
+    also lays out the model for ``forward_batch``: ``frame_basis``, the
+    (58, 3N) matrix that maps a frame to its blendshape displacement (the
+    expression rows, zero jaw and global rows, the eyelid rows);
+    ``jaw_cols``, the jaw region's 3J coordinate columns in a (3N,) mesh row;
+    and ``jaw_hinge``, the joint tiled J times. They are derived fields,
+    rebuilt by every construction (``dataclasses.replace`` included), and are
+    not compared or printed. A built model holds read-only copies of its
+    arrays, shared with no caller, so no derived field can go stale: to
+    change a field, build a new model (``dataclasses.replace``).
     """
 
     template: np.ndarray
@@ -225,19 +252,24 @@ class BlendshapeModel:
     jaw_region: np.ndarray
     regions: Dict[str, np.ndarray]
     landmarks: Dict[str, int]
+    frame_basis: np.ndarray = field(init=False, repr=False, compare=False)
     jaw_cols: np.ndarray = field(init=False, repr=False, compare=False)
     jaw_hinge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.template = finite_array(self.template, "template", ("N", 3))
+        self.template = _frozen(finite_array(self.template, "template", ("N", 3)))
         n = self.template.shape[0]
-        self.expr_basis = finite_array(self.expr_basis, "expr_basis", (n, 3, EXPRESSION_DIM))
-        self.eyelid_basis = finite_array(self.eyelid_basis, "eyelid_basis", (n, 3, EYELID_DIM))
-        self.jaw_joint = finite_array(self.jaw_joint, "jaw_joint", (3,))
-        self.jaw_region = _vertex_indices(self.jaw_region, "jaw_region", n)
-        self.jaw_cols = (3 * self.jaw_region[:, None] + np.arange(3)).ravel()
-        self.jaw_hinge = np.tile(self.jaw_joint, self.jaw_region.size)
-        self.regions = {k: _vertex_indices(v, f"region '{k}'", n) for k, v in self.regions.items()}
+        self.expr_basis = _frozen(finite_array(self.expr_basis, "expr_basis", (n, 3, EXPRESSION_DIM)))
+        self.eyelid_basis = _frozen(finite_array(self.eyelid_basis, "eyelid_basis", (n, 3, EYELID_DIM)))
+        self.jaw_joint = _frozen(finite_array(self.jaw_joint, "jaw_joint", (3,)))
+        self.jaw_region = _frozen(_vertex_indices(self.jaw_region, "jaw_region", n))
+        basis = np.zeros((FRAME_DIM, 3 * n))
+        basis[EXPRESSION_SLICE] = self.expr_basis.reshape(3 * n, EXPRESSION_DIM).T
+        basis[EYELID_SLICE] = self.eyelid_basis.reshape(3 * n, EYELID_DIM).T
+        self.frame_basis = _frozen(basis)
+        self.jaw_cols = _frozen((3 * self.jaw_region[:, None] + np.arange(3)).ravel())
+        self.jaw_hinge = _frozen(np.tile(self.jaw_joint, self.jaw_region.size))
+        self.regions = {k: _frozen(_vertex_indices(v, f"region '{k}'", n)) for k, v in self.regions.items()}
         self.landmarks = {k: int(_vertex_indices([v], f"landmark '{k}'", n)[0]) for k, v in self.landmarks.items()}
         for kind, names, sets in (("region", REGION_NAMES, self.regions), ("landmark", LANDMARK_NAMES, self.landmarks)):
             for name in names:
@@ -271,9 +303,13 @@ def forward_batch(
 
     Row i of the result is bit-identical to a 1-frame call on ``params[i]``,
     and a subset call is bit-identical to the same columns of the full call.
-    Every matrix product is therefore evaluated with the shape a single frame
-    gives it: one blendshape product per frame over the whole basis, one
-    jaw product per frame over the whole jaw region, one global product per
+    Every matrix product is therefore evaluated with a shape no call
+    changes. The blendshape product is one ``(32, 58) @ (58, 3N)`` GEMM per
+    tile of ``_TILE_FRAMES`` frames over the model's ``frame_basis``, which
+    gives a frame the same bits at any row of any tile; a call's short last
+    tile is padded with zero rows, whose products are dropped, so that no
+    product is a 1-row matmul (numpy takes those to gemv). The jaw product
+    is one per frame over the whole jaw region, the global product one per
     frame over the whole mesh. A rotation is applied only to frames whose
     pose is non-zero, since rotating by the identity is not exact.
 
@@ -296,15 +332,13 @@ def forward_batch(
     any other block rotates its posed frames in place. A subset is gathered
     from the finished block.
     """
-    p = finite_array(params, "params", ("T", FRAME_DIM))
+    # C order, so that every tile reaches the GEMM with the same layout
+    p = np.ascontiguousarray(finite_array(params, "params", ("T", FRAME_DIM)))
     t, n = p.shape[0], model.num_vertices
     out_idx = None if vertices is None else _vertex_indices(vertices, "vertices", n)
 
     out = np.empty((t, n if out_idx is None else out_idx.size, 3))
     block = min(t, _BLOCK_FRAMES)
-    expr_basis = model.expr_basis.reshape(3 * n, EXPRESSION_DIM)
-    eyelid_basis = model.eyelid_basis.reshape(3 * n, EYELID_DIM)
-    eyelid = np.empty((block, n, 3))
     mesh = None if out_idx is None and zero_posed else np.empty((block, n, 3))
     for start in range(0, t, _BLOCK_FRAMES):
         pb = p[start : start + _BLOCK_FRAMES]
@@ -320,10 +354,14 @@ def forward_batch(
         into_out = out_idx is None and glob_on.size == k  # the global product goes straight to the output
         v = dest if out_idx is None and not into_out else mesh[:k]
         flat = v.reshape(k, 3 * n)
-        np.matmul(expr_basis, pb[:, EXPRESSION_SLICE, None], out=flat[:, :, None])
-        np.matmul(eyelid_basis, pb[:, EYELID_SLICE, None], out=eyelid[:k].reshape(k, 3 * n, 1))
+        whole = k - k % _TILE_FRAMES
+        for s in range(0, whole, _TILE_FRAMES):
+            np.matmul(pb[s : s + _TILE_FRAMES], model.frame_basis, out=flat[s : s + _TILE_FRAMES])
+        if whole < k:  # a short tile: its rows atop a zero tile, whose other rows' products are dropped
+            tile = np.zeros((_TILE_FRAMES, FRAME_DIM))
+            tile[: k - whole] = pb[whole:]
+            flat[whole:] = np.matmul(tile, model.frame_basis)[: k - whole]
         v += model.template
-        v += eyelid[:k]
         if jaw_on.size:
             jaw = np.take(flat, model.jaw_cols, axis=1)
             moved = jaw[jaw_on] if jaw_on.size < k else jaw
@@ -347,13 +385,10 @@ def forward_batch(
 
 
 def landmark_distance(vertices: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Euclidean distance between vertices i and j of a (..., N, 3) array.
-
-    Each distance is the square root of one 3-element dot product, the same
-    arithmetic as ``np.linalg.norm`` on a single 3-vector.
-    """
-    d = vertices[..., i, :] - vertices[..., j, :]
-    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    """Euclidean distance between vertices i and j of a (..., N, 3) array,
+    by ``_norm3``: a distance depends on the two vertices alone, not on the
+    array they sit in."""
+    return _norm3(vertices[..., i, :] - vertices[..., j, :])
 
 
 def sequence_vertex_array(model: BlendshapeModel, m: MotionSequence) -> np.ndarray:

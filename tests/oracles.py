@@ -355,6 +355,21 @@ def peaks_outward_scan(x: Sequence[float], min_prominence_frac: float, min_dista
     return np.array(sorted(accepted), dtype=np.int64)
 
 
+def prominence_floor(x: np.ndarray) -> np.ndarray:
+    """For each sample, the minimum of x from just after the nearest strictly
+    higher sample to its left (or the signal start) up to and including
+    itself. One pass with a stack of (index, minimum of the span it covers)."""
+    floor = np.empty(x.size)
+    stack: List[Tuple[float, float]] = []
+    for i, xi in enumerate(x.tolist()):
+        low = xi
+        while stack and stack[-1][0] <= xi:
+            low = min(low, stack.pop()[1])
+        floor[i] = low
+        stack.append((xi, low))
+    return floor
+
+
 def frame_sums_mean(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference of two frames-first arrays: math.fsum of each
     frame's np.sum over its squared differences in C order, one frame at a
@@ -392,10 +407,11 @@ def smooth_same_mode(x: np.ndarray, window: int) -> np.ndarray:
 
 def _axis_angle_matrix(rvec: np.ndarray) -> np.ndarray:
     """The library's Rodrigues matrices for (..., 3) axis-angle vectors, copied
-    as they were when the frame-blocked forward model was written."""
+    as they were when the frame-blocked forward model was written, with the
+    angle taken as sqrt((x² + y²) + z²) in elementwise steps."""
     rvec = np.asarray(rvec, dtype=np.float64)
-    r = np.ascontiguousarray(rvec.reshape(-1, 3))
-    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    r = rvec.reshape(-1, 3)
+    theta = np.sqrt((r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1]) + r[:, 2] * r[:, 2])
     zero = theta == 0.0
     axis = r / np.where(zero, 1.0, theta)[:, None]
     k_cross = np.zeros((r.shape[0], 3, 3))
@@ -415,9 +431,11 @@ def forward_batch_gather_scatter(model, params, zero_posed: bool = False, vertic
     """The frame-blocked forward model as first written, with 2-D fancy-index
     gathers and scatters: the jaw region through ``(frames[:, None], region)``
     and posed frames through ``v[frames]``, every block built in its output
-    (or, for a subset, in a whole-mesh buffer). It pins the library's bits,
-    since its BLAS calls have the same shapes and its elementwise arithmetic
-    the same operands. Inputs are taken as valid."""
+    (or, for a subset, in a whole-mesh buffer). Each frame's blendshape
+    displacement is row 0 of a (32, 58) @ (58, 3N) product whose other rows
+    are zero, so a frame's bits are those it gets alone. It pins the
+    library's bits, since its BLAS calls have the same shapes and its
+    elementwise arithmetic the same operands. Inputs are taken as valid."""
     p = np.asarray(params, dtype=np.float64)
     t, n = p.shape[0], model.template.shape[0]
     out_idx = None if vertices is None else np.asarray(vertices, dtype=np.intp)
@@ -425,18 +443,19 @@ def forward_batch_gather_scatter(model, params, zero_posed: bool = False, vertic
 
     out = np.empty((t, n if out_idx is None else out_idx.size, 3))
     block = min(t, block_frames)
-    expr_basis = model.expr_basis.reshape(3 * n, 50)
-    eyelid_basis = model.eyelid_basis.reshape(3 * n, 2)
-    eyelid = np.empty((block, n, 3))
+    basis = np.zeros((58, 3 * n))  # expression rows, zero jaw and global rows, eyelid rows
+    basis[0:50] = model.expr_basis.reshape(3 * n, 50).T
+    basis[56:58] = model.eyelid_basis.reshape(3 * n, 2).T
+    tile = np.zeros((32, 58))
     mesh = None if out_idx is None else np.empty((block, n, 3))
     for start in range(0, t, block_frames):
         pb = p[start : start + block_frames]
         k = pb.shape[0]
         v = out[start : start + k] if mesh is None else mesh[:k]
-        np.matmul(expr_basis, pb[:, 0:50, None], out=v.reshape(k, 3 * n, 1))
-        np.matmul(eyelid_basis, pb[:, 56:58, None], out=eyelid[:k].reshape(k, 3 * n, 1))
+        for i in range(k):
+            tile[0] = pb[i]
+            v[i] = np.matmul(tile, basis)[0].reshape(n, 3)
         v += model.template
-        v += eyelid[:k]
         jaw_on = np.flatnonzero(np.any(pb[:, 50:53], axis=1))
         if jaw_on.size:
             sel = (jaw_on[:, None], model.jaw_region)

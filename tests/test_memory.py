@@ -5,9 +5,9 @@ The vertex pipelines run on a long clip and count in units of one (T, N, 3)
 float64 vertex array; the frame-blocked forward model and the streamed loss
 buffers are what keep their peaks this low, and the code before them used
 about 3, 7 and 2.4 arrays. The loss terms keep only each frame's sums (five
-arrays of T values), so their peak, 0.36 arrays, is the block-sized renders
-and differences: about five and a half arrays of 130 frames, since a block's
-velocities replace its renders and its accelerations the velocities.
+arrays of T values), so their peak, 0.31 arrays, is the block-sized renders
+and differences: about 4.8 arrays of 130 frames, since a block's velocities
+replace its renders and its accelerations the velocities.
 Codebook training counts in units of one (n, K) float64 score array, n being
 the number of training windows, and a whole codec fit in units of one
 (n, d_z) latent array."""

@@ -119,8 +119,9 @@ def test_ufd_single_vertex_unit_growth_anchor():
 
 def test_ufd_matches_displacement_oracle(seed0_model, seed0_motion):
     idx = seed0_model.regions["upper_face"]
-    minus_zero = dataclasses.replace(seed0_model, template=seed0_model.template.copy())
-    minus_zero.template[idx[::2], 1] = -0.0
+    template = seed0_model.template.copy()
+    template[idx[::2], 1] = -0.0
+    minus_zero = dataclasses.replace(seed0_model, template=template)
     m = MotionSequence(seed0_motion.params[:12], fps=25.0)
     for model in (seed0_model, minus_zero):
         got = metrics.full_report(model, m, m).ufd
@@ -383,7 +384,9 @@ def test_compare_refuses_a_reference_ufd_that_overflows():
     # the basis entry is finite, but the displacement's squared norm is not; the
     # still candidate's report is finite, so only the reference's UFD can refuse it
     model = opening_axis_model()
-    model.expr_basis[4, 1, 1] = 1e300
+    expr_basis = model.expr_basis.copy()
+    expr_basis[4, 1, 1] = 1e300
+    model = dataclasses.replace(model, expr_basis=expr_basis)
     reference = motion_with_channel([0.0, 1.0, 0.5, 1.0], channel=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="reference ufd contains non-finite values"):

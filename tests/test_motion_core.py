@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from facemotion import motion_core as mc
+from facemotion import synth
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
 
 
@@ -339,3 +340,21 @@ def test_replaced_jaw_fields_render_as_a_model_built_with_them(seed0_model, seed
         got = mc.forward_batch(replaced, params, zero_posed=zero_posed)
         assert got.tobytes() == mc.forward_batch(built, params, zero_posed=zero_posed).tobytes()
         assert got.tobytes() != mc.forward_batch(seed0_model, params, zero_posed=zero_posed).tobytes()
+
+
+def test_a_built_model_owns_read_only_copies_of_its_arrays():
+    # an in-place edit would leave the derived layout (frame_basis, jaw_cols,
+    # jaw_hinge) rendering the old values, so every array refuses one; and no
+    # model shares an array with its caller, nor with another model
+    model = synth.make_model(synth.SynthConfig(seed=0, num_vertices=40))
+    arrays = [getattr(model, f.name) for f in dataclasses.fields(model) if f.name not in ("regions", "landmarks")]
+    for arr in arrays + list(model.regions.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] += 1
+    template = model.template.copy()
+    built = dataclasses.replace(model, template=template)
+    template[0] = 1.0
+    assert built.template.tobytes() == model.template.tobytes()
+    other = synth.make_model(synth.SynthConfig(seed=1, num_vertices=40))
+    assert not np.shares_memory(model.jaw_joint, other.jaw_joint)
+    assert not np.shares_memory(model.jaw_joint, synth._JAW_JOINT)

@@ -1,9 +1,10 @@
 """Property tests (hypothesis) for the batched forward model and UFD against
 their oracles, the Rodrigues matrices against theirs and any split of their
-batch, the streamed loss terms, peak picking, the nearest-codeword
-search, k-means++ seeding, Lloyd refinement against a Lloyd that rescores
-every step, the stream's retrieval predictor, the binary and text loaders,
-and the exit codes of ``cli.main``."""
+batch, the streamed loss terms, peak picking, its prominence floors and peak
+alignment against scans, the nearest-codeword search, k-means++ seeding,
+Lloyd refinement against a Lloyd that rescores every step, the stream's
+retrieval predictor, the binary and text loaders, and the exit codes of
+``cli.main``."""
 
 import contextlib
 import dataclasses
@@ -94,7 +95,9 @@ def test_forward_batch_and_ufd_match_the_gather_scatter_oracle_bit_for_bit(n, ja
                                                                            dtype, seed):
     # the oracle is the forward model before its blocks moved data through
     # contiguous column copies, and the norm form of UFD before its sums
-    # were spelled out: the same arithmetic, so every byte must agree
+    # were spelled out: the same arithmetic, so every byte must agree. Its
+    # blendshape product takes each frame alone, at row 0 of a zero tile, so
+    # equal bytes also show that a frame's bits do not depend on its tile row
     model = _oracle_model(n, jaw)
     rng = np.random.default_rng(seed)
     params = rng.uniform(-0.3, 0.3, size=(t, 58))
@@ -227,6 +230,36 @@ def test_detect_peaks_matches_outward_scan_oracle(body, lead, trail, frac, min_d
     expected = oracles.peaks_outward_scan(x, frac, min_distance)
     assert got.dtype == expected.dtype == np.int64
     assert got.tolist() == expected.tolist()
+
+
+def _series(kind, n, rng):
+    return {"random": lambda: rng.standard_normal(n), "plateaus": lambda: rng.integers(0, 4, n).astype(np.float64),
+            "walk": lambda: np.cumsum(rng.standard_normal(n))}[kind]()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "plateaus", "walk"]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.sampled_from([0.0, 0.05, 0.3]),
+    min_distance=st.integers(1, 6),
+)
+@example(kind="plateaus", n=256, seed=0, frac=0.05, min_distance=3)
+@example(kind="walk", n=257, seed=1, frac=0.05, min_distance=3)
+def test_prominence_floors_and_peak_align_match_scans(kind, n, seed, frac, min_distance):
+    # the floors at every sample equal those of a sample-by-sample stack scan
+    # from each side; lengths at and past a power of two end the sparse
+    # tables' runs at the last sample
+    rng = np.random.default_rng(seed)
+    x, y = _series(kind, n, rng), _series(kind, n, rng)
+    want = np.maximum(oracles.prominence_floor(x), oracles.prominence_floor(x[::-1])[::-1])
+    assert _bits(metrics._prominence_floors(x, np.arange(n))) == _bits(want)
+    cfg = metrics.MetricsConfig(peak_min_prominence=frac, peak_min_distance=min_distance)
+    p_x, p_y = (oracles.peaks_outward_scan(s, frac, min_distance).tolist() for s in (x, y))
+    assert metrics.detect_peaks(x, frac, min_distance).tolist() == p_x
+    want = None if not (p_x and p_y) else oracles.median([min(abs(p - g) for p in p_x) for g in p_y]) * 1000.0 / 25.0
+    assert metrics.peak_align(x, y, cfg, 25.0) == want
 
 
 @settings(max_examples=300, deadline=None)
