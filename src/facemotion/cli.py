@@ -1,9 +1,12 @@
 """Command-line surface for the motion codec pipeline.
 
 Commands: gen-data, fit-codec, encode, decode, eval-recon, eval-metrics,
-compare, simulate-stream. Every run writes <command>.manifest.json next to
-its outputs echoing the input files it read and the resolved configuration,
-so identical flags reproduce identical bytes. An input-file flag is accepted
+compare, simulate-stream. A command computes and returns its outputs
+without writing them; once it has returned, ``main`` creates --out, writes
+every output in the order the command declared them, then writes
+<command>.manifest.json naming those same files and echoing the input files
+read and the resolved configuration, so identical flags reproduce identical
+bytes and a failed command writes nothing. An input-file flag is accepted
 only where the command reads it.
 
 Configuration (CONFIG_SECTIONS): --config names a JSON object with optional
@@ -125,10 +128,10 @@ class UsageError(Exception):
 
 @dataclasses.dataclass
 class Outcome:
-    """What a command wrote; main records it in <command>.manifest.json."""
+    """What a command computed; main writes its outputs and records them in <command>.manifest.json."""
 
-    message: str
-    outputs: dict  # name -> path
+    message: str  # printed with each {name} replaced by that output's path
+    outputs: dict  # name -> (file name, writer(path, value), value), written in this order
     config: dict
     seed: typing.Optional[int] = None
     results: typing.Optional[dict] = None
@@ -144,12 +147,6 @@ def _inputs(args) -> dict:
         elif value is not None:
             inputs[dest] = str(value)
     return inputs
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_motion_any(path) -> motion_core.MotionSequence:
@@ -195,15 +192,12 @@ def _add_settings(parser, section):
 
 def cmd_gen_data(args, config) -> Outcome:
     scfg = synth.SynthConfig(**_settings(args, config, "synth"))
-    model, motion = synth.make_model(scfg), synth.make_motion(scfg)
-    out = _out_dir(args)
-    model_path = out / "model.json"
-    motion_path = out / "motion.a2mo"
-    fileio.save_model(model_path, model)
-    fileio.save_motion(motion_path, motion)
     return Outcome(
-        f"wrote {model_path} and {motion_path}",
-        outputs={"model": model_path, "motion": motion_path},
+        "wrote {model} and {motion}",
+        outputs={
+            "model": ("model.json", fileio.save_model, synth.make_model(scfg)),
+            "motion": ("motion.a2mo", fileio.save_motion, synth.make_motion(scfg)),
+        },
         config={"synth": dataclasses.asdict(scfg)},
         seed=scfg.seed,
     )
@@ -217,8 +211,7 @@ def cmd_fit_codec(args, config) -> Outcome:
     qcfg = rvq.QuantizerConfig(**_settings(args, config, "quantizer"))
     corpus = [_load_motion_any(p) for p in args.motion]
     proj, cb, history = rvq.fit_codec(corpus, qcfg, return_history=True)
-    # Report on the f32 codec the file will hold, so the norms match encode of the file;
-    # the file is written last, so a failed report leaves none.
+    # Report on the f32 codec the file will hold, so the norms match encode of the file
     cb, proj, saved = fileio._stored_codec(cb, proj, qcfg)
     latents = np.vstack([rvq.window_encode(m, proj, qcfg).vectors for m in corpus])
     z = rvq.LatentSequence(latents, fps_latent=corpus[0].fps / qcfg.group_size)
@@ -233,11 +226,10 @@ def cmd_fit_codec(args, config) -> Outcome:
         }
         for h, entries in zip(history, cb.entries)
     ]
-    cb_path = _out_dir(args) / "codebook.a2cb"
-    fileio.save_codebook(cb_path, cb, proj, saved)
     return Outcome(
-        f"wrote {cb_path} (final residual norm {level_norms[-1]:.6g})",
-        outputs={"codebook": cb_path},
+        f"wrote {{codebook}} (final residual norm {level_norms[-1]:.6g})",
+        outputs={"codebook": ("codebook.a2cb", lambda path, codec: fileio.save_codebook(path, *codec),
+                              (cb, proj, saved))},
         config={"quantizer": dataclasses.asdict(qcfg)},
         seed=qcfg.seed,
         results={
@@ -260,12 +252,9 @@ def cmd_encode(args, config) -> Outcome:
     m = _load_motion_any(args.motion)
     z = rvq.window_encode(m, proj, qcfg)
     tokens, level_norms = rvq.rvq_encode(z, cb, group_size=qcfg.group_size)
-    out = _out_dir(args)
-    tok_path = out / "tokens.a2tk"
-    fileio.save_tokens(tok_path, tokens)
     return Outcome(
-        f"wrote {tok_path} ({len(tokens)} token rows)",
-        outputs={"tokens": tok_path},
+        f"wrote {{tokens}} ({len(tokens)} token rows)",
+        outputs={"tokens": ("tokens.a2tk", fileio.save_tokens, tokens)},
         config={},
         results={
             "frames": len(m),
@@ -283,12 +272,9 @@ def cmd_decode(args, config) -> Outcome:
     frames = args.frames if args.frames is not None else len(tokens) * qcfg.group_size
     z = rvq.rvq_decode(tokens, cb, fps_latent=motion_core.positive_f32(args.fps) / qcfg.group_size)
     m = rvq.window_decode(z, proj, qcfg, original_t=frames)
-    out = _out_dir(args)
-    motion_path = out / "decoded.a2mo"
-    fileio.save_motion(motion_path, m)
     return Outcome(
-        f"wrote {motion_path} ({frames} frames)",
-        outputs={"motion": motion_path},
+        f"wrote {{motion}} ({frames} frames)",
+        outputs={"motion": ("decoded.a2mo", fileio.save_motion, m)},
         config={"frames": frames, "fps": args.fps},
     )
 
@@ -310,12 +296,9 @@ def cmd_eval_recon(args, config) -> Outcome:
         q = rvq.rvq_decode(tokens, cb, fps_latent=z.fps_latent)
         quantizer = {"z": z, "q": q, "gamma": qcfg.gamma}
     report = losses.total_losses(model, gt, pred, weights=weights, **quantizer)
-    out = _out_dir(args)
-    report_path = out / "loss_report.json"
-    fileio.save_loss_report(report_path, report)
     return Outcome(
-        f"wrote {report_path} (l_rec={report.l_rec:.6g})",
-        outputs={"loss_report": report_path},
+        f"wrote {{loss_report}} (l_rec={report.l_rec:.6g})",
+        outputs={"loss_report": ("loss_report.json", fileio.save_loss_report, report)},
         config={"weights": dataclasses.asdict(weights)},
     )
 
@@ -326,12 +309,9 @@ def cmd_eval_metrics(args, config) -> Outcome:
     pred = _load_motion_any(args.pred)
     mcfg = metrics.MetricsConfig(**_settings(args, config, "metrics"))
     report = metrics.full_report(model, pred, gt, mcfg)
-    out = _out_dir(args)
-    report_path = out / "metrics_report.json"
-    fileio.save_metrics_report(report_path, report)
     return Outcome(
-        f"wrote {report_path} (MOD={report.mod_mm:.4g} mm)",
-        outputs={"metrics_report": report_path},
+        f"wrote {{metrics_report}} (MOD={report.mod_mm:.4g} mm)",
+        outputs={"metrics_report": ("metrics_report.json", fileio.save_metrics_report, report)},
         config={"metrics": mcfg.to_dict()},
     )
 
@@ -369,13 +349,6 @@ def cmd_compare(args, config) -> Outcome:
         # a stable sort: equal distances keep the command-line order
         defined = [name for name in names if values[name][metric_name] is not None]
         rankings[metric_name] = sorted(defined, key=lambda name: abs(values[name][metric_name] - target))
-
-    out = _out_dir(args)
-    report_paths = {}
-    for name, rep in zip(names, reports):
-        path = out / f"metrics_{name}.json"
-        fileio.save_metrics_report(path, rep)
-        report_paths[name] = path
     comparison = {
         "report": "comparison",
         "reference": str(args.reference),
@@ -385,11 +358,12 @@ def cmd_compare(args, config) -> Outcome:
         "targets": targets,
         "rankings": rankings,
     }
-    cmp_path = out / "comparison.json"
-    fileio.write_json(cmp_path, comparison)
     return Outcome(
-        f"wrote {cmp_path} ({len(names)} candidates)",
-        outputs={"comparison": cmp_path, **report_paths},
+        f"wrote {{comparison}} ({len(names)} candidates)",
+        outputs={
+            "comparison": ("comparison.json", fileio.write_json, comparison),
+            **{name: (f"metrics_{name}.json", fileio.save_metrics_report, rep) for name, rep in zip(names, reports)},
+        },
         config={"metrics": mcfg.to_dict()},
     )
 
@@ -429,21 +403,14 @@ def cmd_simulate_stream(args, config) -> Outcome:
         features, predictor, cb, proj, qcfg, segment_tokens=segment_tokens, timing=timing
     )
     report = streamsim.latency_report(log)
-
-    out = _out_dir(args)
-    paths = {
-        "tokens": out / "stream_tokens.a2tk",
-        "motion": out / "stream_motion.a2mo",
-        "events": out / "events.log",
-        "latency_report": out / "latency_report.json",
-    }
-    fileio.save_tokens(paths["tokens"], tokens)
-    fileio.save_motion(paths["motion"], motion)
-    fileio.save_event_log(paths["events"], log)
-    fileio.save_latency_report(paths["latency_report"], report)
     return Outcome(
-        f"wrote {paths['latency_report']} (RTF={report.rtf:.4g})",
-        outputs=paths,
+        f"wrote {{latency_report}} (RTF={report.rtf:.4g})",
+        outputs={
+            "tokens": ("stream_tokens.a2tk", fileio.save_tokens, tokens),
+            "motion": ("stream_motion.a2mo", fileio.save_motion, motion),
+            "events": ("events.log", fileio.save_event_log, log),
+            "latency_report": ("latency_report.json", fileio.save_latency_report, report),
+        },
         config={
             "stream": {
                 "predictor": args.predictor,
@@ -529,20 +496,26 @@ def main(argv=None) -> int:
         # an overflow or 0*inf yields inf or NaN, which the reports refuse as a ValueError
         with np.errstate(over="ignore", invalid="ignore"):
             done = args.func(args, _load_config(args.config))
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            paths = {}
+            for name, (file_name, write, value) in done.outputs.items():
+                paths[name] = out / file_name
+                write(paths[name], value)
         manifest = {
             "manifest": 1,
             "tool_version": __version__,
             "command": args.command,
             "seed": done.seed,
             "inputs": _inputs(args),
-            "outputs": {name: str(path) for name, path in done.outputs.items()},
+            "outputs": {name: str(path) for name, path in paths.items()},
             "config": done.config,
         }
         if done.results is not None:
             manifest["results"] = done.results
-        fileio.write_json(Path(args.out) / f"{args.command}.manifest.json", manifest)
+        fileio.write_json(out / f"{args.command}.manifest.json", manifest)
         if not args.quiet:
-            print(done.message)
+            print(done.message.format(**paths))
         return EXIT_OK
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

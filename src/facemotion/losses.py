@@ -23,16 +23,18 @@ zero-posed renders. The accelerations are the forward differences of the
 velocities, which is how ``np.diff(v, 2)`` forms them, so they have its
 bits. A frame's sum does not depend on the frames around it, and ``fsum``
 does not depend on the order it adds in, so any split of the clip into
-blocks gives the same bits.
+blocks gives the same bits. Finite frame sums whose exact total exceeds the
+float range give an infinite term, which ``LossReport`` refuses by name.
 
-``total_losses`` walks the clip once in the forward model's blocks of
-``_BLOCK_FRAMES`` frames. For the block [start, stop) it renders frames
-[max(start - 2, 0), stop) of both clips (batch invariance makes each row
-the whole-clip render's row) and writes each frame's sums into four
-per-frame arrays of length T, T, T-1 and T-2. The block's velocities replace
-its renders once the region sums are taken, and its accelerations replace
-the velocities. The two frames rendered again finish the differences that
-end in the block, and the sums they rewrite get the same values. No
+``total_losses`` walks the clip once in spans of ``_BLOCK_FRAMES - 2`` new
+frames. For the span [start, stop) it renders frames [max(start - 2, 0),
+stop) of both clips: at most ``_BLOCK_FRAMES`` frames, so each render is one
+forward-model block (batch invariance makes each row the whole-clip
+render's row). It writes each frame's sums into four per-frame arrays of
+length T, T, T-1 and T-2. The block's velocities replace its renders once
+the region sums are taken, and its accelerations replace the velocities.
+The two frames rendered again finish the differences that end in the span,
+and the sums they rewrite get the same values. No
 whole-clip render, difference or squared-difference array is built: a call
 holds the per-frame sums and a few block-sized arrays.
 """
@@ -113,9 +115,12 @@ def total_losses(
     regions = (model.regions["lips"], model.regions["face"])
     region_sums = (np.empty(t), np.empty(t))
     dyn_sums = (np.empty(t - 1), np.empty(t - 2))
-    for start in range(0, t, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, t)
-        lo = max(start - 2, 0)  # two frames back, for the differences that end in this block
+    # new frames per render: with the two before them, one forward-model block
+    # (and at least one, so any block size walks the clip)
+    span = max(_BLOCK_FRAMES - 2, 1)
+    for start in range(0, t, span):
+        stop = min(start + span, t)
+        lo = max(start - 2, 0)  # two frames back, for the differences that end in this span
         v = forward_batch(model, m.params[lo:stop], zero_posed=True)
         v_hat = forward_batch(model, m_hat.params[lo:stop], zero_posed=True)
         for idx, sums in zip(regions, region_sums):
@@ -125,7 +130,7 @@ def total_losses(
         for sums in dyn_sums:
             # velocities, then accelerations from them, each replacing the arrays
             # it is taken from; their sums start at frame lo, and those the last
-            # block wrote are rewritten with the same values
+            # span wrote are rewritten with the same values
             v, v_hat = np.diff(v, axis=0), np.diff(v_hat, axis=0)
             _frame_sums(v - v_hat, sums[lo : lo + len(v)])
     l_param = _mean(param_sums, m.params.shape[1])
@@ -159,8 +164,13 @@ def _frame_sums(d: np.ndarray, out: np.ndarray) -> None:
 
 
 def _mean(frame_sums: np.ndarray, per_frame: int) -> float:
-    """The mean of ``len(frame_sums) * per_frame`` values from their per-frame sums."""
-    return math.fsum(frame_sums.tolist()) / (frame_sums.size * per_frame)
+    """The mean of ``len(frame_sums) * per_frame`` values from their per-frame sums;
+    infinite when their exact total exceeds the float range."""
+    try:
+        total = math.fsum(frame_sums.tolist())
+    except OverflowError:  # the sums are squares, so the total is +inf
+        total = math.inf
+    return total / (frame_sums.size * per_frame)
 
 
 def combine_rec(

@@ -9,6 +9,7 @@ NaN or fake zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -91,7 +92,9 @@ def _ufd(model: BlendshapeModel, v: np.ndarray, idx: np.ndarray) -> float:
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    """Pearson correlation; None when either series has zero variance."""
+    """Pearson correlation; None when either series has zero variance, NaN
+    when the covariance or the product of the standard deviations overflows
+    (a report refuses it)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -108,7 +111,10 @@ def pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     sy = float(np.sqrt(np.mean(yc**2)))
     if sx == 0.0 or sy == 0.0:
         return None
-    value = float(np.mean(xc * yc) / (sx * sy))
+    cov, scale = float(np.mean(xc * yc)), sx * sy
+    if not (math.isfinite(cov) and math.isfinite(scale)):
+        return math.nan
+    value = cov / scale
     if abs(value) > 1.0 + 1e-8:
         raise AssertionError(f"correlation {value} outside [-1, 1]")
     return min(1.0, max(-1.0, value))
@@ -127,7 +133,7 @@ def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = MetricsCon
     """Velocity-energy ratio sigma(v_pred) / (sigma(v_gt) + epsilon).
 
     Standard deviations are population (ddof=0) so length-2 series are
-    deterministic.
+    deterministic. NaN when either overflows (a report refuses it).
     """
     o_pred = np.asarray(o_pred, dtype=np.float64)
     o_gt = np.asarray(o_gt, dtype=np.float64)
@@ -135,6 +141,8 @@ def liveliness(o_pred: np.ndarray, o_gt: np.ndarray, epsilon: float = MetricsCon
         raise ValueError("liveliness needs at least 2 samples")
     s_pred = float(np.std(np.diff(o_pred)))
     s_gt = float(np.std(np.diff(o_gt)))
+    if not (math.isfinite(s_pred) and math.isfinite(s_gt)):
+        return math.nan
     return s_pred / (s_gt + epsilon)
 
 

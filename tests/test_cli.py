@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +395,38 @@ def test_score_that_overflows_exits_4_and_writes_nothing(tmp_path, capsys, comma
     assert not res.exists()
 
 
+def test_eval_recon_whose_loss_total_overflows_exits_4_and_writes_nothing(tmp_path, capsys):
+    # every frame's lips sum is finite, but their exact total exceeds the float range
+    out = gen(tmp_path, frames=40)
+    doc = fileio.read_json(out / "model.json")
+    doc["expr_basis"][doc["regions"]["lips"][0]][1][0] = 3e153
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    m = fileio.load_motion(out / "motion.a2mo")
+    params = m.params.copy()
+    params[:, 0] += 1.0
+    pred = tmp_path / "pred.a2mo"
+    fileio.save_motion(pred, MotionSequence(params, fps=m.fps))
+    res = tmp_path / "res"
+    assert run("eval-recon", "--out", res, "--model", bad, "--gt", out / "motion.a2mo", "--pred", pred) == 4
+    assert "facemotion eval-recon: l_lips contains non-finite values" in capsys.readouterr().err
+    assert not res.exists()
+
+
+def test_eval_metrics_whose_correlation_overflows_exits_4_and_writes_nothing(tmp_path, capsys):
+    # the opening series' squared deviations overflow while MOD stays 0 on an identical pair
+    out = gen(tmp_path, frames=40)
+    doc = fileio.read_json(out / "model.json")
+    doc["expr_basis"][0][1][0] = 5e154
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    res = tmp_path / "res"
+    assert run("eval-metrics", "--out", res, "--model", bad,
+               "--gt", out / "motion.a2mo", "--pred", out / "motion.a2mo") == 4
+    assert "facemotion eval-metrics: temporal_corr contains non-finite values" in capsys.readouterr().err
+    assert not res.exists()
+
+
 def test_compare_reference_copy_ranks_first(tmp_path):
     out = gen(tmp_path, frames=50)
     other = gen(tmp_path, "other", frames=50, seed=1)
@@ -687,16 +720,28 @@ MANIFEST_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, inputs", MANIFEST_INPUTS, ids=[
-    "gen-data", "fit-codec", "encode", "decode", "eval-recon", "eval-recon-codebook", "eval-metrics", "compare",
-    "stream-hold_last", "stream-uniform", "stream-oracle", "stream-retrieval",
-])
+MANIFEST_IDS = ["gen-data", "fit-codec", "encode", "decode", "eval-recon", "eval-recon-codebook", "eval-metrics",
+                "compare", "stream-hold_last", "stream-uniform", "stream-oracle", "stream-retrieval"]
+
+
+@pytest.mark.parametrize("argv, inputs", MANIFEST_INPUTS, ids=MANIFEST_IDS)
 def test_manifest_names_the_command_and_the_input_files_given(tmp_path, files, argv, inputs):
     out = tmp_path / "out"
     assert run(*[files.get(arg, arg) for arg in argv], "--out", out) == 0
     manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
     assert manifest["command"] == argv[0]
     assert manifest["inputs"] == {name: str(files[file]) for name, file in inputs.items()}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in MANIFEST_INPUTS], ids=MANIFEST_IDS)
+def test_out_holds_exactly_the_manifest_outputs_and_the_manifest(tmp_path, capsys, files, argv):
+    out = tmp_path / "out"
+    assert cli.main([str(files.get(arg, arg)) for arg in argv] + ["--out", str(out)]) == 0
+    manifest = f"{argv[0]}.manifest.json"
+    outputs = json.loads((out / manifest).read_text())["outputs"]
+    assert sorted(path.name for path in out.iterdir()) == sorted([manifest, *(Path(p).name for p in outputs.values())])
+    assert all(Path(path).parent == out for path in outputs.values())
+    assert capsys.readouterr().out.split()[1] in outputs.values()  # "wrote <path> ..."
 
 
 MANIFEST_KEYS = {"manifest", "tool_version", "command", "seed", "inputs", "outputs", "config"}

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from facemotion import fileio, losses, metrics, rvq
 from facemotion.errors import IncompatibleShapeError, ModelConfigError
-from facemotion.motion_core import BlendshapeModel, MotionSequence, forward_batch
+from facemotion.motion_core import _BLOCK_FRAMES, BlendshapeModel, MotionSequence, forward_batch
 
 
 def unit_basis_model(n=12, lips=(0, 1, 2), face=(0, 1, 2, 3, 4, 5, 6, 7), upper=(8, 9)):
@@ -239,6 +239,22 @@ def test_total_losses_end_to_end_oracle(seed0_model, rng):
         )
     )
     assert report.l_rec == pytest.approx(expected, rel=1e-10)
+
+
+def test_each_render_is_at_most_one_forward_model_block(seed0_model, rng, monkeypatch):
+    # a span of _BLOCK_FRAMES - 2 new frames and the two before it fill one
+    # block, so no render splits into a full block and a 2-frame remainder
+    a, b = seeded_pair(rng, t=300)
+    lengths = []
+
+    def recording_forward_batch(model, params, **kwargs):
+        lengths.append(len(params))
+        return forward_batch(model, params, **kwargs)
+
+    monkeypatch.setattr(losses, "forward_batch", recording_forward_batch)
+    losses.total_losses(seed0_model, a, b)
+    assert _BLOCK_FRAMES == 128
+    assert lengths == [126, 126, 128, 128, 50, 50]  # frames [0, 126), [124, 252), [250, 300) of each clip
 
 
 def test_loss_weights_validation():

@@ -5,8 +5,8 @@ The vertex pipelines run on a long clip and count in units of one (T, N, 3)
 float64 vertex array; the frame-blocked forward model and the streamed loss
 buffers are what keep their peaks this low, and the code before them used
 about 3, 7 and 2.4 arrays. The loss terms keep only each frame's sums (five
-arrays of T values), so their peak, 0.31 arrays, is the block-sized renders
-and differences: about 4.8 arrays of 130 frames, since a block's velocities
+arrays of T values), so their peak, 0.30 arrays, is the block-sized renders
+and differences: about 4.7 arrays of 128 frames, since a block's velocities
 replace its renders and its accelerations the velocities.
 Codebook training counts in units of one (n, K) float64 score array, n being
 the number of training windows, and a whole codec fit in units of one
@@ -43,7 +43,7 @@ def _peak_bytes(fn):
 
 @pytest.mark.parametrize(
     "name, bound",
-    [("total_losses", 0.5), ("full_report", 1.5), ("forward_batch", 1.3)],
+    [("total_losses", 0.4), ("full_report", 1.25), ("forward_batch", 1.25)],
 )
 def test_transient_peak_in_vertex_arrays(long_pair, name, bound):
     model, m, m_hat = long_pair

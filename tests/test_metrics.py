@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ def test_correlations_stay_in_unit_interval(rng):
         assert -1.0 <= v <= 1.0
 
 
+def test_an_overflowed_deviation_or_covariance_is_never_a_finite_correlation():
+    # x's squared deviations overflow: clamping the NaN correlation gave -1.0,
+    # and a finite covariance over an infinite deviation gave 0.0
+    x = np.array([0.0, 1e200, 0.0, 1e200, 5e199])
+    small = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(metrics.pearson(x, x))
+        assert math.isnan(metrics.pearson(x, small))
+        assert math.isnan(metrics.pearson(small, x))
+        assert math.isnan(metrics.velocity_corr(x, x))
+
+
 # ---------------------------------------------------------------------------
 # liveliness
 
@@ -222,6 +235,15 @@ def test_liveliness_constant_reference_is_large_but_finite(rng):
     v = metrics.liveliness(pred, gt, epsilon=1e-8)
     assert np.isfinite(v)
     assert v == pytest.approx(oracles.population_std(np.diff(pred)) / 1e-8, rel=1e-9)
+
+
+def test_liveliness_with_an_overflowed_deviation_is_nan():
+    # an infinite reference deviation used to give a ratio of 0.0
+    x = np.array([0.0, 1e200, 0.0, 1e200, 5e199])
+    small = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(metrics.liveliness(small, x))
+        assert math.isnan(metrics.liveliness(x, small))
 
 
 # ---------------------------------------------------------------------------
